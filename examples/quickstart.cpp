@@ -46,7 +46,8 @@ int main() {
   tuning.sample_rate = 0.02;               // 2% delay samples
   tuning.cut_rate = 1.0 / 25'000.0;        // one aggregate per ~0.5 s
 
-  auto make_monitor = [&](net::HopId self, net::HopId prev, net::HopId next) {
+  auto make_monitor = [&](net::HopId /*self*/, net::HopId prev,
+                          net::HopId next) {
     return core::HopMonitor(core::HopMonitorConfig{
         .protocol = protocol,
         .tuning = tuning,

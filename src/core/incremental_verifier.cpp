@@ -1,6 +1,7 @@
 #include "core/incremental_verifier.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -8,6 +9,21 @@
 #include "stats/quantile.hpp"
 
 namespace vpm::core {
+namespace {
+
+/// Append one round's aggregates to a pair tail, moving them out of the
+/// round when no other pair needs them.
+void append_aggregates(std::vector<AggregateReceipt>& tail,
+                       std::vector<AggregateReceipt>& round, bool last_use) {
+  if (last_use) {
+    tail.insert(tail.end(), std::make_move_iterator(round.begin()),
+                std::make_move_iterator(round.end()));
+  } else {
+    tail.insert(tail.end(), round.begin(), round.end());
+  }
+}
+
+}  // namespace
 
 IncrementalPathVerifier::IncrementalPathVerifier(Config cfg)
     : cfg_(std::move(cfg)) {
@@ -53,16 +69,25 @@ void IncrementalPathVerifier::add_round(net::HopId hop, PathDrain round) {
     info.sample_threshold = round.samples.sample_threshold;
   }
 
+  // An interior HOP ends two pairs: its aggregates are copied into the
+  // first pair's tail and moved into the last.
+  std::size_t ends_left = 0;
+  for (const Pair& p : pairs_) {
+    ends_left += (hops[p.up_pos] == hop) + (hops[p.down_pos] == hop);
+  }
   for (Pair& p : pairs_) {
     const bool as_up = hops[p.up_pos] == hop;
     const bool as_down = hops[p.down_pos] == hop;
     if (!as_up && !as_down) continue;
+    AggregateTail& tail = p.is_domain ? p.loss.tail : p.link_aggregates.tail;
     if (as_up) {
       p.is_domain ? feed_domain(p, true, round) : feed_link(p, true, round);
+      append_aggregates(tail.up, round.aggregates, --ends_left == 0);
     }
     if (as_down) {
       p.is_domain ? feed_domain(p, false, round)
                   : feed_link(p, false, round);
+      append_aggregates(tail.down, round.aggregates, --ends_left == 0);
     }
     settle_pair(p);
   }
@@ -96,8 +121,6 @@ void IncrementalPathVerifier::feed_domain(Pair& p, bool is_up,
           pe[i].order, (pe[i].time - it->second.time).milliseconds());
     }
     pe.resize(keep);
-    p.loss.tail.up.insert(p.loss.tail.up.end(), round.aggregates.begin(),
-                          round.aggregates.end());
   } else {
     // Egress side: under lockstep feeding (upstream HOPs first within a
     // reporting round) the ingress record is already resident.  When the
@@ -115,8 +138,6 @@ void IncrementalPathVerifier::feed_domain(Pair& p, bool is_up,
       p.delay.delays.emplace_back(
           order, (s.time - it->second.time).milliseconds());
     }
-    p.loss.tail.down.insert(p.loss.tail.down.end(), round.aggregates.begin(),
-                            round.aggregates.end());
   }
 }
 
@@ -129,18 +150,12 @@ void IncrementalPathVerifier::feed_link(Pair& p, bool is_up,
       ls.pending_up.push_back(
           LinkSamplesState::Stamped{std::move(r), clock});
     });
-    p.link_aggregates.tail.up.insert(p.link_aggregates.tail.up.end(),
-                                     round.aggregates.begin(),
-                                     round.aggregates.end());
   } else {
     ls.down_splitter.feed(round.samples.samples, [&](SampleRound&& r) {
       const net::PacketDigest marker = r.marker_id;
       ls.down_by_marker.emplace(
           marker, LinkSamplesState::Stamped{std::move(r), clock});
     });
-    p.link_aggregates.tail.down.insert(p.link_aggregates.tail.down.end(),
-                                       round.aggregates.begin(),
-                                       round.aggregates.end());
   }
 }
 

@@ -79,7 +79,7 @@ inline void feed(core::HopMonitor& monitor, std::span<const net::Packet> trace,
 /// Build a monitor for hop position `pos` with the given tuning.
 inline core::HopMonitor make_monitor(const core::ProtocolParams& protocol,
                                      const core::HopTuning& tuning,
-                                     net::HopId self, net::HopId prev,
+                                     net::HopId /*self*/, net::HopId prev,
                                      net::HopId next,
                                      net::Duration max_diff =
                                          net::milliseconds(5)) {

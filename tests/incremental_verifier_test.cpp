@@ -251,6 +251,63 @@ TEST(IncrementalVerifier, MissingHopYieldsEmptyFindings) {
   EXPECT_EQ(incremental.analyze(), reference.analyze(run.layout));
 }
 
+/// Four HOPs, two domains, every packet delivered.  The link (HOP 2 -> 3)
+/// carries each aggregate's last packet past the next cut and domain beta
+/// (HOP 3 -> 4) puts it back, so patch-up repairs the link only with
+/// HOP 2's AggTrans windows and beta only with HOP 3's.  Each interior HOP
+/// feeds two pairs from one round (one copy, one move): both pairs must
+/// see the windows.
+TEST(IncrementalVerifier, InteriorHopsFeedTheirWindowsToBothPairs) {
+  constexpr std::size_t kRounds = 8;
+  const PathLayout layout{.hops = {1, 2, 3, 4},
+                          .domain_of = {"alpha", "alpha", "beta", "beta"}};
+  const auto cut = [](std::size_t r) {
+    return static_cast<net::PacketDigest>(5000 + 100 * r);
+  };
+  const auto round_data = [&](std::size_t hop_pos, std::size_t r) {
+    // HOP 3 sees packet cut(r)+9 after cut(r+1) (not in the last round).
+    const bool reordered = hop_pos == 2;
+    const bool moves_out = reordered && r + 1 < kRounds;
+    const bool moves_in = reordered && r > 0;
+    PathDrain d;
+    d.samples.path = test_path();
+    AggregateReceipt a =
+        agg(cut(r), 10 - (moves_out ? 1 : 0) + (moves_in ? 1 : 0),
+            static_cast<std::int64_t>(r) * 10,
+            static_cast<std::int64_t>(r) * 10 + 9);
+    a.trans.before = {cut(r) + 8};
+    a.trans.after = {cut(r + 1), cut(r + 1) + 1};
+    if (moves_out) {
+      a.trans.after.insert(a.trans.after.begin() + 1, cut(r) + 9);
+    } else {
+      a.trans.before.push_back(cut(r) + 9);
+    }
+    d.aggregates.push_back(std::move(a));
+    return d;
+  };
+
+  IncrementalPathVerifier incremental(
+      IncrementalPathVerifier::Config{.layout = layout});
+  PathVerifier reference;
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    for (std::size_t pos = 0; pos < layout.hops.size(); ++pos) {
+      PathDrain d = round_data(pos, r);
+      reference.add_round(layout.hops[pos], d);
+      incremental.add_round(layout.hops[pos], std::move(d));
+    }
+  }
+
+  const PathAnalysis live = incremental.analyze();
+  ASSERT_EQ(live.domains.size(), 2u);
+  ASSERT_EQ(live.links.size(), 1u);
+  EXPECT_TRUE(live.links[0].report.aggregates.consistent());
+  const DomainLossReport& beta = live.domains[1].loss;
+  EXPECT_EQ(beta.patchup_migrations, kRounds - 1);
+  EXPECT_EQ(beta.offered, beta.delivered);
+  for (const AlignedAggregate& g : beta.details) EXPECT_EQ(g.lost(), 0);
+  EXPECT_EQ(live, reference.analyze(layout));
+}
+
 TEST(IncrementalVerifier, ValidatesConfigAndHops) {
   PathLayout bad{.hops = {1, 2}, .domain_of = {"a"}};
   EXPECT_THROW(

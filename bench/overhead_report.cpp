@@ -21,7 +21,7 @@
 #include "core/receipt_sink.hpp"
 #include "dissem/wire_exporter.hpp"
 #include "experiment.hpp"
-#include "sim/churn_scenario.hpp"
+#include "sim/scenario_engine.hpp"
 #include "trace/synthetic_trace.hpp"
 
 namespace {
@@ -212,31 +212,30 @@ void lifecycle_section() {
 
   // The end-to-end bounded-memory claim: a 52-round churn scenario
   // (collector lifecycle + store cursors/GC + incremental verifier)
-  // against its grow-only reference.
-  sim::ChurnScenarioConfig scfg;
-  scfg.shard_count = 4;
-  const sim::ChurnScenarioResult churn = sim::run_churn_scenario(scfg);
-  const sim::ChurnRoundMetrics& final_round = churn.per_round.back();
+  // against its grow-only twin (the same config without TTL eviction).
+  sim::ScenarioConfig scfg = sim::parse_scenario(
+      "name=churn domains=S,X,D paths=36 churn=12:6:6 rounds=52 "
+      "round_us=40000 pps=50000 zipf=0.6 marker_rate=0.01 "
+      "chunk_bytes=16384 shards=4 ttl_rounds=3");
+  const sim::RoundHealth churn = sim::run_scenario(scfg).rounds.back();
+  scfg.ttl_rounds = 0;
+  const sim::RoundHealth grow_only = sim::run_scenario(scfg).rounds.back();
   std::printf("Churn soak (52 rounds, 33%% of live paths churning):\n");
   std::printf("  collector arenas:  %6.1f KB churn-run plateau vs %6.1f KB"
-              " grow-only reference\n",
-              static_cast<double>(final_round.churn_arena_bytes) / 1e3,
-              static_cast<double>(final_round.ref_arena_bytes) / 1e3);
-  std::printf("  receipt store:     %6.1f KB retained (slowest-consumer"
-              " lag) vs %6.1f KB shipped\n",
-              static_cast<double>(final_round.store_payload_bytes) / 1e3,
-              static_cast<double>(final_round.ref_store_payload_bytes) /
-                  1e3);
-  std::printf("  verifier tails:    %zu raw receipts + %zu pending entries"
+              " grow-only run\n",
+              static_cast<double>(churn.arena_bytes) / 1e3,
+              static_cast<double>(grow_only.arena_bytes) / 1e3);
+  std::printf("  receipt store:     %6.1f KB retained (one unpolled round)"
+              " vs %6.1f KB shipped\n",
+              static_cast<double>(churn.store_payload_bytes) / 1e3,
+              static_cast<double>(churn.shipped_payload_bytes) / 1e3);
+  std::printf("  verifier tails:    %zu raw receipts + pending entries"
               " (O(retained window))\n",
-              final_round.verifier_tail_receipts,
-              final_round.verifier_pending);
+              churn.verifier_entries);
   std::printf("  lifecycle totals:  %zu evictions, %zu compactions,"
               " %.1f KB reclaimed\n\n",
-              churn.lifecycle_totals.evicted_paths,
-              churn.lifecycle_totals.compactions,
-              static_cast<double>(
-                  churn.lifecycle_totals.reclaimed_arena_bytes) / 1e3);
+              churn.evicted_paths, churn.compactions,
+              static_cast<double>(churn.reclaimed_arena_bytes) / 1e3);
 
   dissemination_block();
 }

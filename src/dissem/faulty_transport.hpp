@@ -44,6 +44,11 @@ struct FaultPlan {
   [[nodiscard]] bool lossless() const noexcept {
     return drop_rate == 0.0 && corrupt_rate == 0.0;
   }
+  /// No fault of any kind: the wire delivers every envelope in order.
+  [[nodiscard]] bool perfect() const noexcept {
+    return lossless() && duplicate_rate == 0.0 && reorder_rate == 0.0 &&
+           delay_rate == 0.0;
+  }
 };
 
 struct FaultStats {

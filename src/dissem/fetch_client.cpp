@@ -110,7 +110,7 @@ void FetchClient::run_fetch_pass(bool force_gap) {
         // would exclude it and let a round the walk swallowed whole pass
         // for delivered.
         const bool was_resyncing = session_->resyncing();
-        if (!feed_payload(seq, payload)) {
+        if (!feed_payload(seq, payload, force_gap)) {
           stop = true;  // transient: retry this payload next poll
           return;
         }
@@ -139,23 +139,29 @@ void FetchClient::run_fetch_pass(bool force_gap) {
 }
 
 bool FetchClient::feed_payload(std::uint64_t sequence,
-                               std::span<const std::byte> payload) {
+                               std::span<const std::byte> payload,
+                               bool force_gap) {
   for (int attempt = 0; attempt < 2; ++attempt) {
     try {
       session_->feed(payload);
       ++stats_.envelopes_fed;
+      transient_wait_ = 0;
       return true;
     } catch (const net::WireError& e) {
-      if (e.transient()) {
+      if (e.transient() && attempt == 0 && !force_gap &&
+          transient_wait_ < cfg_.gap_patience_polls) {
         // Truncated fetch: the session state is untouched (documented
         // feed() contract) — the identical payload retries next poll.
+        ++transient_wait_;
         ++stats_.transient_retries;
         return false;
       }
-      // Corrupt content behind a valid MAC: the producer round it sits in
-      // is unrecoverable.  Open (or extend) a gap and resync; the second
+      // Corrupt content behind a valid MAC (or a payload still short
+      // after every retry): the producer round it sits in is
+      // unrecoverable.  Open (or extend) a gap and resync; the second
       // attempt re-walks this payload in skip mode to find a round mark
       // further in.
+      transient_wait_ = 0;
       ++stats_.fatal_errors;
       begin_gap(sequence, core::RoundGap::Cause::kCorrupt);
       if (gap_.last_sequence < sequence) gap_.last_sequence = sequence;

@@ -1,4 +1,4 @@
-// The fault-tolerant consumer loop of receipt dissemination (ISSUE 6).
+// The fault-tolerant consumer loop of receipt dissemination.
 //
 // PR 5's cursor-consumer pattern (fetch_from -> Session::feed -> ack) was
 // written for a perfect transport: one missing envelope stalls it, one
@@ -15,16 +15,22 @@
 //     the gap handler, never silently dropped;
 //   * payloads that fail decode FATALLY (corrupt content behind a valid
 //     MAC) open a kCorrupt gap and resync the same way; TRANSIENT errors
-//     (truncated fetch) leave every cursor in place and retry next poll;
+//     (truncated fetch) leave every cursor in place and retry next poll —
+//     for at most `gap_patience_polls` polls and never in finalize(),
+//     since the store serves whole stored payloads and a payload that
+//     stays short is a producer that sealed a malformed chunk: it then
+//     closes as a kCorrupt gap like any other undecodable payload;
 //   * delivers decoded path-drain groups to the round handler ONLY when
 //     the stream sits at a round boundary, and acks exactly then — so a
 //     consumer killed between polls restarts from its last acked sequence
 //     (fresh FetchClient, same consumer name) and re-derives the identical
 //     stream: at-least-once fetch, exactly-once delivery.
 //
-// The scenario soak (sim/fault_scenario) drives fleets of these against
-// FaultyTransport and pins: delivered rounds byte-identical to a
-// fault-free run, reported gaps exactly the transport's induced losses.
+// The fault soak (tests/fault_soak_test.cpp, on sim::run_scenario) drives
+// fleets of these against FaultyTransport and pins: delivered rounds
+// byte-identical to a fault-free replay, reported gaps exactly the
+// transport's induced losses.  tests/fetch_client_test.cpp covers the
+// error branches a well-formed producer never reaches.
 #ifndef VPM_DISSEM_FETCH_CLIENT_HPP
 #define VPM_DISSEM_FETCH_CLIENT_HPP
 
@@ -54,8 +60,10 @@ class FetchClient {
     std::uint64_t backoff_initial_polls = 1;
     std::uint64_t backoff_max_polls = 8;
     /// Polls a missing sequence may stay missing before it is declared
-    /// lost.  Set strictly above the transport's worst-case reorder/delay
-    /// (in polls) and reordering never degrades to loss.
+    /// lost (and polls a transiently failing payload is retried before it
+    /// is declared corrupt).  Set strictly above the transport's
+    /// worst-case reorder/delay (in polls) and reordering never degrades
+    /// to loss.
     std::uint64_t gap_patience_polls = 3;
     std::uint64_t seed = 1;  ///< jitter RNG seed
   };
@@ -111,9 +119,10 @@ class FetchClient {
  private:
   void run_fetch_pass(bool force_gap);
   /// True when the payload was consumed (decoded or skipped); false when
-  /// it must be retried next poll (transient error or gap patience).
+  /// it must be retried next poll (a transient error within patience;
+  /// `force_gap` spends no patience).
   bool feed_payload(std::uint64_t sequence,
-                    std::span<const std::byte> payload);
+                    std::span<const std::byte> payload, bool force_gap);
   void begin_gap(std::uint64_t first_missing, core::RoundGap::Cause cause);
   void discard_partial_round();
   void close_gap_if_resynced();
@@ -139,6 +148,7 @@ class FetchClient {
   // Gap state.
   bool gap_open_ = false;
   std::uint64_t gap_wait_ = 0;  ///< patience polls consumed so far
+  std::uint64_t transient_wait_ = 0;  ///< retries of the stuck payload
   core::RoundGap gap_;
 };
 

@@ -32,19 +32,6 @@ std::vector<net::PathId> path_table(
   return out;
 }
 
-void append_drain(core::PathDrain& acc, char& have, const core::PathDrain& d) {
-  if (!have) {
-    acc = d;
-    have = 1;
-    return;
-  }
-  acc.samples.samples.insert(acc.samples.samples.end(),
-                             d.samples.samples.begin(),
-                             d.samples.samples.end());
-  acc.aggregates.insert(acc.aggregates.end(), d.aggregates.begin(),
-                        d.aggregates.end());
-}
-
 std::vector<core::RoundGap> dedupe_gaps(std::vector<core::RoundGap> raw) {
   std::map<std::uint64_t, core::RoundGap> by_first;
   for (core::RoundGap& g : raw) {
@@ -80,11 +67,6 @@ void add_stats(dissem::FetchClient::Stats& acc,
   acc.acks += s.acks;
   acc.ack_rejections += s.ack_rejections;
   acc.gap_wait_polls += s.gap_wait_polls;
-}
-
-core::PathLayout three_hop_layout() {
-  return core::PathLayout{.hops = {1, 2, 3},
-                          .domain_of = {"alpha", "alpha", "beta"}};
 }
 
 net::Duration spread_hop_delay(std::uint64_t seed, std::size_t path,

@@ -1,10 +1,10 @@
-// Shared plumbing for the scenario drivers (churn, fault, shard, and the
-// config-driven ScenarioEngine): deterministic per-path delay spreads,
-// PathId table construction, drain concatenation, gap deduplication, and
-// fetch-client stat accumulation.  Every helper here was extracted
-// verbatim from `sim/churn_scenario` / `sim/fault_scenario`, whose soak
-// suites pin the refactor byte-for-byte — change semantics here and the
-// pins fail, by design.
+// Shared plumbing for the config-driven ScenarioEngine, the federation
+// and shard drivers, and the end-to-end pipeline benchmark: deterministic
+// seeds and per-path delay spreads, PathId table construction, gap
+// deduplication, and fetch-client stat accumulation.  The scenario grid,
+// the fault and churn soaks (both run on the engine) and the federation
+// soak pin these byte-for-byte — change semantics here and the pins
+// fail, by design.
 #ifndef VPM_SIM_SCENARIO_COMMON_HPP
 #define VPM_SIM_SCENARIO_COMMON_HPP
 
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "collector/monitoring_cache.hpp"
-#include "core/receipt.hpp"
 #include "core/verifier.hpp"
 #include "dissem/fetch_client.hpp"
 #include "net/path_id.hpp"
@@ -32,10 +31,6 @@ namespace vpm::sim::scenario {
     const collector::MonitoringCache::Config& cfg,
     const std::vector<net::PrefixPair>& paths);
 
-/// Concatenate periodic rounds into the one-shot stream (the collector's
-/// drain-order invariant — what the equality assertions compare).
-void append_drain(core::PathDrain& acc, char& have, const core::PathDrain& d);
-
 /// Merge crash re-declarations: a client killed after reporting a gap but
 /// before acking past it re-fetches and re-declares the same gap (same
 /// first missing sequence) — keep the widest range and the union of
@@ -47,10 +42,6 @@ void append_drain(core::PathDrain& acc, char& have, const core::PathDrain& d);
 /// rebuilds retire several incarnations per hop).
 void add_stats(dissem::FetchClient::Stats& acc,
                const dissem::FetchClient::Stats& s);
-
-/// The three-HOP segment layout the churn and fault soaks run on
-/// (A,B in domain "alpha"; C in domain "beta").
-[[nodiscard]] core::PathLayout three_hop_layout();
 
 /// Per-path, per-hop observation delay: base per hop plus a small
 /// deterministic per-path offset (µs-aligned, constant per path so

@@ -1,6 +1,8 @@
 #include "sim/scenario_config.hpp"
 
+#include <cmath>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -69,6 +71,7 @@ double parse_double(const std::string& token, const std::string& value) {
     std::size_t used = 0;
     const double v = std::stod(value, &used);
     if (used != value.size()) bad_token(token, "trailing junk in number");
+    if (!std::isfinite(v)) bad_token(token, "non-finite number");
     return v;
   } catch (const std::invalid_argument&) {
     bad_token(token, "malformed number");
@@ -78,6 +81,11 @@ double parse_double(const std::string& token, const std::string& value) {
 }
 
 std::uint64_t parse_u64(const std::string& token, const std::string& value) {
+  // stoull accepts a sign (and wraps a negative value); a count never has
+  // one.
+  if (value.empty() || value[0] < '0' || value[0] > '9') {
+    bad_token(token, "malformed integer");
+  }
   try {
     std::size_t used = 0;
     const std::uint64_t v = std::stoull(value, &used);
@@ -91,10 +99,15 @@ std::uint64_t parse_u64(const std::string& token, const std::string& value) {
 }
 
 net::Duration parse_us(const std::string& token, const std::string& value) {
-  return net::microseconds(static_cast<std::int64_t>(parse_u64(token, value)));
+  const std::uint64_t us = parse_u64(token, value);
+  if (us > static_cast<std::uint64_t>(
+               std::numeric_limits<std::int64_t>::max() / 1000)) {
+    bad_token(token, "duration out of range");
+  }
+  return net::microseconds(static_cast<std::int64_t>(us));
 }
 
-/// Parse "a:b:c" into three integers (link_down / route_flap events).
+/// Parse "a:b:c" into three integers (link_down / route_flap / churn).
 void parse_triple(const std::string& token, const std::string& value,
                   std::size_t& a, std::size_t& b, std::size_t& c) {
   const std::vector<std::string> parts = split(value, ':');
@@ -182,6 +195,11 @@ std::string ScenarioConfig::to_string() const {
     put("route_flap", std::to_string(route_flap.paths) + ':' +
                           std::to_string(route_flap.round) + ':' +
                           std::to_string(route_flap.duration_rounds));
+  }
+  if (churn.lifetime_rounds != 0) {
+    put("churn", std::to_string(churn.stable) + ':' +
+                     std::to_string(churn.live) + ':' +
+                     std::to_string(churn.lifetime_rounds));
   }
   if (ttl_rounds != def.ttl_rounds) {
     put("ttl_rounds", std::to_string(ttl_rounds));
@@ -354,6 +372,9 @@ ScenarioConfig parse_scenario(std::string_view text) {
     } else if (key == "route_flap") {
       parse_triple(token, value, cfg.route_flap.paths, cfg.route_flap.round,
                    cfg.route_flap.duration_rounds);
+    } else if (key == "churn") {
+      parse_triple(token, value, cfg.churn.stable, cfg.churn.live,
+                   cfg.churn.lifetime_rounds);
     } else if (key == "ttl_rounds") {
       cfg.ttl_rounds = static_cast<std::size_t>(parse_u64(token, value));
     } else if (key == "chunk_bytes") {

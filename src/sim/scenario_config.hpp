@@ -75,6 +75,19 @@ struct RouteFlapEvent {
   friend bool operator==(const RouteFlapEvent&, const RouteFlapEvent&) = default;
 };
 
+/// A churning path population: paths [0, stable) send every round; the
+/// rest form a pool of which `live` paths send at any time, each for
+/// `lifetime_rounds` rounds (staggered across the live slots), then rotate
+/// to the next pool member, so paths arrive, go idle, and revive once the
+/// pool wraps.  The routing table always holds every path.
+/// lifetime_rounds == 0 disables.
+struct ChurnSchedule {
+  std::size_t stable = 0;
+  std::size_t live = 0;
+  std::size_t lifetime_rounds = 0;
+  friend bool operator==(const ChurnSchedule&, const ChurnSchedule&) = default;
+};
+
 struct ScenarioConfig {
   std::string name = "scenario";
   std::uint64_t seed = 1;
@@ -123,6 +136,7 @@ struct ScenarioConfig {
   // Topology events.
   LinkDownEvent link_down;
   RouteFlapEvent route_flap;
+  ChurnSchedule churn;
   /// Lifecycle: evict a path idle for this many rounds (0 = lifecycle
   /// machinery off).  Route flaps run the PR-5 eviction/compaction pass
   /// either way; this knob adds TTL eviction between flaps.
@@ -169,8 +183,10 @@ struct ScenarioConfig {
 /// Parse the `key=value` text format: tokens separated by any whitespace
 /// (so one line and a multi-line file are the same grammar), `#` starts a
 /// comment to end of line.  Unknown keys, malformed values, and malformed
-/// compound values (domains=, adversary.*=, link_down=, route_flap=)
-/// throw std::invalid_argument naming the offending token.
+/// compound values (domains=, adversary.*=, link_down=, route_flap=,
+/// churn=), signed integers, durations whose nanosecond value overflows
+/// int64, and non-finite numbers throw std::invalid_argument naming the
+/// offending token.
 [[nodiscard]] ScenarioConfig parse_scenario(std::string_view text);
 
 }  // namespace vpm::sim

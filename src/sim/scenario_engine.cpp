@@ -63,6 +63,11 @@ void validate(const ScenarioConfig& cfg) {
     throw std::invalid_argument(
         "scenario: route flap would withdraw every path");
   }
+  if (cfg.churn.lifetime_rounds != 0 &&
+      (cfg.churn.live == 0 || cfg.churn.stable >= cfg.paths)) {
+    throw std::invalid_argument(
+        "scenario: churn needs a live slot and a non-empty pool");
+  }
   if (cfg.link_down.duration_rounds != 0 &&
       cfg.link_down.link + 1 >= cfg.domains.size()) {
     throw std::invalid_argument("scenario: link_down index out of range");
@@ -87,6 +92,21 @@ void validate(const ScenarioConfig& cfg) {
   if (!cfg.jitter_domain.empty()) {
     (void)transit_index(cfg, cfg.jitter_domain, "jitter domain");
   }
+}
+
+/// True when `path` sends traffic in `round` under the churn schedule:
+/// live slot s hosts one pool path for lifetime_rounds rounds, staggered
+/// across slots, then rotates to the next pool member.
+bool churn_live(const ChurnSchedule& c, std::size_t paths, std::size_t path,
+                std::size_t round) {
+  if (c.lifetime_rounds == 0 || path < c.stable) return true;
+  const std::size_t pool = paths - c.stable;
+  for (std::size_t s = 0; s < c.live; ++s) {
+    const std::size_t phase = s * c.lifetime_rounds / c.live;
+    const std::size_t gen = (round + phase) / c.lifetime_rounds;
+    if (c.stable + (gen * c.live + s) % pool == path) return true;
+  }
+  return false;
 }
 
 /// One merged observation, pre-sorted per hop/round before collector feed.
@@ -151,7 +171,7 @@ double ScenarioOutcome::true_loss(const std::string& domain) const {
                                   static_cast<double>(offered);
 }
 
-ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
+ScenarioOutcome run_scenario(const ScenarioConfig& cfg, const DrainTap& tap) {
   validate(cfg);
 
   const std::size_t n_domains = cfg.domains.size();
@@ -179,7 +199,7 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
           ? 0
           : transit_index(cfg, cfg.jitter_domain, "jitter domain");
 
-  // --- traffic, filtered by the route-flap window -------------------------
+  // --- traffic, filtered by the route-flap window and the churn schedule --
   const trace::MultiPathTrace multi = trace::generate_multi_path(
       scenario::multi_path_config(cfg.paths, cfg.zipf_s,
                                   cfg.packets_per_second, cfg.round_length,
@@ -201,6 +221,7 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
         scenario::round_of(p.origin_time, round_ns, cfg.rounds);
     const std::size_t path = multi.path_of[i];
     if (path >= flap_first && r >= flap_start && r < flap_end) continue;
+    if (!churn_live(cfg.churn, cfg.paths, path, r)) continue;
     fg_packets.push_back(p);
     fg_path.push_back(path);
   }
@@ -368,11 +389,18 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
   build_collectors(multi.paths);
 
   // --- the wire: exporters -> faulty transports -> store ------------------
+  // On a faulty wire `archive` keeps the pre-fault copy of every envelope:
+  // the fault-free stream the delivered-round reference replays.
+  const bool faulty = !cfg.faults.perfect();
   dissem::ReceiptStore store;
+  std::optional<dissem::ReceiptStore> archive;
+  if (faulty) archive.emplace();
   for (std::size_t pos = 0; pos < n_hops; ++pos) {
     store.register_producer(out.layout.hops[pos], kKey);
+    if (faulty) archive->register_producer(out.layout.hops[pos], kKey);
   }
   store.register_consumer("fleet");
+  if (faulty) archive->register_consumer("reference");
 
   std::vector<std::optional<dissem::FaultyTransport>> transports(n_hops);
   for (std::size_t pos = 0; pos < n_hops; ++pos) {
@@ -383,13 +411,16 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
   }
 
   bool faults_on = true;  // the closing drain ships on a clean wire
+  std::uint64_t shipped_bytes = 0;
   std::vector<std::optional<dissem::WireExporter>> exporters(n_hops);
   for (std::size_t pos = 0; pos < n_hops; ++pos) {
     exporters[pos].emplace(
         dissem::WireExporter::Config{.producer = out.layout.hops[pos],
                                      .key = kKey,
                                      .max_chunk_bytes = cfg.max_chunk_bytes},
-        [&transports, &store, &faults_on, pos](dissem::Envelope&& e) {
+        [&, pos](dissem::Envelope&& e) {
+          shipped_bytes += e.payload.size();
+          if (faulty) (void)archive->ingest(e);
           if (faults_on) {
             transports[pos]->send(std::move(e));
           } else {
@@ -426,13 +457,15 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
     ccfg.seed = cfg.seed ^ (0xC11E57ull + pos);
     clients[pos] = std::make_unique<dissem::FetchClient>(
         *importers[pos], store, ccfg,
-        [&verifiers, &out, pos](std::vector<core::IndexedPathDrain>&& groups) {
+        [&verifiers, &out, &tap,
+         pos](std::vector<core::IndexedPathDrain>&& groups) {
+          const net::HopId hop = out.layout.hops[pos];
           for (core::IndexedPathDrain& g : groups) {
             for (const core::AggregateReceipt& a : g.drain.aggregates) {
               out.wire_packets[pos][g.path] += a.packet_count;
             }
-            verifiers[g.path].add_round(out.layout.hops[pos],
-                                        std::move(g.drain));
+            if (tap) tap(hop, g.path, g.drain);
+            verifiers[g.path].add_round(hop, std::move(g.drain));
           }
         },
         [&raw_gaps, pos](core::RoundGap&& gap) {
@@ -519,12 +552,16 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
       }
     }
   };
+  // sealed[pos][k]: last sequence of the k-th published round (the
+  // closing drain included) — how gaps map back onto reporting rounds.
+  std::vector<std::vector<std::uint64_t>> sealed(n_hops);
   const auto publish = [&](std::vector<Stream>&& streams) {
     apply_adversaries(streams);
     for (std::size_t pos = 0; pos < n_hops; ++pos) {
       core::emit_stream(*exporters[pos], std::move(streams[pos]));
       exporters[pos]->end_round();
       exporters[pos]->flush();
+      sealed[pos].push_back(exporters[pos]->next_sequence() - 1);
       transports[pos]->tick();
     }
   };
@@ -538,6 +575,27 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
       streams[pos] = std::move(sink).take();
     }
     publish(std::move(streams));
+  };
+
+  collector::LifecycleReport lifecycle;
+  const auto health = [&] {
+    RoundHealth h;
+    for (std::size_t pos = 0; pos < n_hops; ++pos) {
+      h.arena_bytes += collectors[pos]->arena_bytes();
+      h.arena_live_bytes += collectors[pos]->arena_live_bytes();
+    }
+    h.store_envelopes = store.stored_envelopes();
+    h.store_payload_bytes = store.stored_payload_bytes();
+    h.shipped_payload_bytes = shipped_bytes;
+    for (const core::IncrementalPathVerifier& v : verifiers) {
+      const auto s = v.resident_stats();
+      h.verifier_entries += s.tail_aggregate_receipts +
+                            s.pending_ingress_samples + s.pending_sample_rounds;
+    }
+    h.evicted_paths = lifecycle.evicted_paths;
+    h.compactions = lifecycle.compactions;
+    h.reclaimed_arena_bytes = lifecycle.reclaimed_arena_bytes;
+    return h;
   };
 
   // --- the rounds ---------------------------------------------------------
@@ -582,15 +640,15 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
       collectors[pos]->drain(sink, /*flush_open=*/false);
       if (cfg.ttl_rounds != 0) {
         const net::Timestamp now{static_cast<std::int64_t>(r + 1) * round_ns};
-        const collector::LifecycleReport report =
-            collectors[pos]->run_lifecycle(now, sink);
-        out.evicted_paths += report.evicted_paths;
+        lifecycle += collectors[pos]->run_lifecycle(now, sink);
       }
       streams[pos] = std::move(sink).take();
     }
     publish(std::move(streams));
+    out.rounds.push_back(health());
     for (std::size_t pos = 0; pos < n_hops; ++pos) clients[pos]->poll();
   }
+  out.evicted_paths = lifecycle.evicted_paths;
 
   // --- the clean closing drain --------------------------------------------
   // Tail losses are invisible until something arrives behind them: flush
@@ -609,6 +667,7 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
     for (std::size_t pos = 0; pos < n_hops; ++pos) {
       core::emit_stream(*exporters[pos], std::move(streams[pos]));
       exporters[pos]->finish();
+      sealed[pos].push_back(exporters[pos]->next_sequence() - 1);
     }
   }
   const std::size_t settle = cfg.gap_patience_polls + 16;
@@ -638,6 +697,48 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
     }
   }
 
+  // --- the delivered-round reference --------------------------------------
+  // A round is delivered iff no gap range intersects its sealed sequence
+  // range.  Replay the fault-free archive, feeding ONLY the delivered
+  // rounds: identical inputs per hop, so the analyses must agree.
+  if (faulty) {
+    std::vector<core::IncrementalPathVerifier> reference;
+    reference.reserve(cfg.paths);
+    for (std::size_t p = 0; p < cfg.paths; ++p) reference.emplace_back(vcfg);
+    for (std::size_t pos = 0; pos < n_hops; ++pos) {
+      const net::HopId hop = out.layout.hops[pos];
+      const std::vector<std::uint64_t>& ends = sealed[pos];
+      std::vector<char> delivered(ends.size(), 1);
+      for (std::size_t k = 0; k < ends.size(); ++k) {
+        const std::uint64_t lo = k == 0 ? 1 : ends[k - 1] + 1;
+        for (const core::RoundGap& g : out.gaps[pos]) {
+          if (g.first_sequence <= ends[k] && g.last_sequence >= lo) {
+            delivered[k] = 0;
+          }
+        }
+      }
+      core::DrainRoundSink sink(
+          [&reference, hop](std::size_t index, const net::PathId&,
+                            core::PathDrain&& drain) {
+            reference[index].add_round(hop, std::move(drain));
+          });
+      dissem::WireImporter::Session session(*importers[pos], sink);
+      archive->fetch_from(
+          "reference", hop,
+          [&](std::uint64_t seq, std::span<const std::byte> payload) {
+            const auto k = static_cast<std::size_t>(
+                std::lower_bound(ends.begin(), ends.end(), seq) -
+                ends.begin());
+            if (k < ends.size() && delivered[k] != 0) session.feed(payload);
+          });
+      session.finish();
+    }
+    for (const core::IncrementalPathVerifier& v : reference) {
+      out.delivered_reference.push_back(v.analyze());
+      out.reference_expired_unmatched += v.resident_stats().expired_unmatched;
+    }
+  }
+
   // --- analyses and end state ---------------------------------------------
   out.analysis.reserve(cfg.paths);
   for (std::size_t p = 0; p < cfg.paths; ++p) {
@@ -650,6 +751,9 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
     const dissem::FaultStats ts = transports[pos]->stats();
     out.envelopes_destroyed += ts.dropped + ts.corrupted;
     out.envelopes_duplicated += ts.duplicated;
+    out.envelopes_reordered_or_delayed += ts.reordered + ts.delayed;
+    out.lost_sequences.push_back(
+        transports[pos]->lost_sequences(out.layout.hops[pos]));
   }
   out.store_envelopes_end = store.stored_envelopes();
   out.store_rejected = store.rejected_count();

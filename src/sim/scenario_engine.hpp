@@ -14,14 +14,18 @@
 //   4. polls a per-HOP FetchClient fleet that feeds per-path
 //      IncrementalPathVerifiers (gap reports and all).
 //
-// Route flaps rebuild every HOP's path table mid-run under the PR-5
-// lifecycle machinery (open receipts drain first, so nothing is
-// orphaned); FetchClient crash-restarts rebuild consumers from their
-// acked cursors mid-stream.  The outcome carries the verifier's findings
-// NEXT TO the simulator's ground truth, so the scenario-grid suite can
-// assert the §6 detection envelope per scenario class: honest runs stay
-// clean, every lying domain's link is implicated, loss estimates track
-// true loss.
+// Route flaps rebuild every HOP's path table mid-run under the lifecycle
+// machinery (open receipts drain first, so nothing is orphaned); a churn
+// schedule rotates which paths send while TTL eviction and compaction
+// reclaim the idle ones; FetchClient crash-restarts rebuild consumers
+// from their acked cursors mid-stream.  The outcome carries the
+// verifier's findings NEXT TO the simulator's ground truth, so the
+// scenario-grid suite can assert the §6 detection envelope per scenario
+// class: honest runs stay clean, every lying domain's link is implicated,
+// loss estimates track true loss.  It also carries what the system held
+// each round (ScenarioOutcome::rounds) and, on a faulty wire, the
+// transport's ground truth and the delivered-round reference the fault
+// soak pins the findings against.
 //
 // Determinism: identical config (including seed) => identical
 // ScenarioOutcome, bit for bit — outcomes compare with == and every grid
@@ -42,6 +46,7 @@
 #define VPM_SIM_SCENARIO_ENGINE_HPP
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,6 +68,26 @@ struct DomainTruth {
                            static_cast<double>(offered);
   }
   friend bool operator==(const DomainTruth&, const DomainTruth&) = default;
+};
+
+/// One reporting round's resident state, sampled after the round's
+/// envelopes are published and before the fleet polls them — what the
+/// system held, next to what it concluded.  Sums over every HOP, producer
+/// and path verifier.
+struct RoundHealth {
+  std::size_t arena_bytes = 0;  ///< collector arenas
+  std::size_t arena_live_bytes = 0;
+  std::size_t store_envelopes = 0;
+  std::size_t store_payload_bytes = 0;
+  std::uint64_t shipped_payload_bytes = 0;  ///< cumulative, pre-transport
+  /// Raw aggregate receipts in the alignment tails plus pending ingress
+  /// samples and sampling rounds — the verifiers' working set.
+  std::size_t verifier_entries = 0;
+  // Lifecycle passes, cumulative.
+  std::size_t evicted_paths = 0;
+  std::size_t compactions = 0;
+  std::size_t reclaimed_arena_bytes = 0;
+  friend bool operator==(const RoundHealth&, const RoundHealth&) = default;
 };
 
 struct ScenarioOutcome {
@@ -101,6 +126,20 @@ struct ScenarioOutcome {
   std::uint64_t groups_delivered = 0;
   std::size_t evicted_paths = 0;     ///< lifecycle evictions, all hops
 
+  /// Per hop: sequences the transport destroyed (dropped or corrupted),
+  /// ascending — the ground truth reported gaps must cover exactly.
+  std::vector<std::vector<std::uint64_t>> lost_sequences;
+  std::uint64_t envelopes_reordered_or_delayed = 0;
+  /// The delivered-round reference, on a faulty wire only (empty on a
+  /// perfect one): per path, the analysis of a verifier fed — from a
+  /// fault-free archive of the same envelopes — exactly the reporting
+  /// rounds the fleet delivered.  Its domains and links equal
+  /// `analysis`'s; on a lossless wire the whole analysis does.
+  std::vector<core::PathAnalysis> delivered_reference;
+  std::uint64_t reference_expired_unmatched = 0;
+  /// Per reporting round: what the system held (RoundHealth).
+  std::vector<RoundHealth> rounds;
+
   friend bool operator==(const ScenarioOutcome&,
                          const ScenarioOutcome&) = default;
 
@@ -119,13 +158,21 @@ struct ScenarioOutcome {
   [[nodiscard]] double true_loss(const std::string& domain) const;
 };
 
+/// Observe-only view of the delivered stream: called with the HOP, the
+/// path index and the drain of every group the fleet delivers, just
+/// before that path's verifier takes it.
+using DrainTap = std::function<void(net::HopId hop, std::size_t path,
+                                    const core::PathDrain&)>;
+
 /// Run one scenario.  Deterministic per config.  Throws
 /// std::invalid_argument on malformed configs: fewer than three domains,
 /// unknown loss/jitter/adversary domain names, an adversary domain that is
 /// not a transit domain, two adversary entries for one domain, a route
-/// flap withdrawing every path, a link_down index out of range, or fault
-/// delays the gap patience cannot cover.
-[[nodiscard]] ScenarioOutcome run_scenario(const ScenarioConfig& cfg);
+/// flap withdrawing every path, a link_down index out of range, a churn
+/// schedule with no live slot or no pool, or fault delays the gap
+/// patience cannot cover.  An empty `tap` costs nothing.
+[[nodiscard]] ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
+                                           const DrainTap& tap = {});
 
 }  // namespace vpm::sim
 

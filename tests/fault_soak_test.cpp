@@ -1,13 +1,13 @@
-// The fault-soak acceptance matrix (ISSUE 6): the three-hop dissemination
-// pipeline driven through FaultyTransport and a crash-restarted
-// FetchClient fleet, 10 seeds × both digest modes × four fault plans —
-// asserting that fully delivered rounds yield findings IDENTICAL to a
-// fault-free run over the same rounds, that every induced loss surfaces
-// as an explicitly reported RoundGap anchored at a destroyed sequence,
-// that no cursor sticks, and that the store's GC floor advances to the
-// head.  Excluded from the default ctest sweep (like ChurnSoak); CI runs
-// it as a dedicated ASan+UBSan step, and the concurrent-fetch probe runs
-// under TSan.
+// The fault-soak acceptance matrix: the S -> X -> D chain's dissemination
+// driven by the scenario engine through FaultyTransport and a
+// crash-restarted FetchClient fleet, 10 seeds × both digest modes × four
+// fault plans — asserting that fully delivered rounds yield findings
+// IDENTICAL to a fault-free replay of the same rounds, that every induced
+// loss surfaces as an explicitly reported RoundGap anchored at a
+// destroyed sequence, that no cursor sticks, and that the store's GC
+// floor advances to the head.  Excluded from the default ctest sweep
+// (like ChurnSoak); CI runs it as a dedicated ASan+UBSan step, and the
+// concurrent-fetch probe runs under TSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,75 +20,70 @@
 
 #include "dissem/envelope.hpp"
 #include "dissem/receipt_store.hpp"
-#include "sim/fault_scenario.hpp"
+#include "sim/scenario_engine.hpp"
 
 namespace vpm {
 namespace {
 
 enum class PlanKind { kDropOnly, kDupReorder, kCrashResume, kKitchenSink };
 
-sim::FaultScenarioConfig soak_config(std::uint64_t seed,
-                                     net::DigestMode mode, PlanKind kind) {
-  sim::FaultScenarioConfig cfg;
-  cfg.seed = seed;
-  cfg.fault_seed = seed * 7919 + 17;
-  cfg.digest_mode = mode;
+sim::ScenarioConfig soak_config(std::uint64_t seed, const char* digest,
+                                PlanKind kind) {
+  // Light traffic: the interesting work is on the wire, not in the
+  // collector.  Small chunks -> several envelopes per round -> more fault
+  // surface.  Gap patience (3) stays above the plan's max delay (2), so
+  // reordering and delay alone never degrade into a gap.
+  std::string text = "name=fault-soak domains=S,X,D paths=6 zipf=1.1 "
+                     "pps=15000 rounds=30 chunk_bytes=2048 gap_patience=3";
+  text += " seed=" + std::to_string(seed);
+  text += " fault_seed=" + std::to_string(seed * 7919 + 17);
+  text += std::string(" digest=") + digest;
   switch (kind) {
     case PlanKind::kDropOnly:
-      cfg.plan.drop_rate = 0.06;
+      text += " fault_drop=0.06";
       break;
     case PlanKind::kDupReorder:
-      cfg.plan.duplicate_rate = 0.15;
-      cfg.plan.reorder_rate = 0.15;
-      cfg.plan.delay_rate = 0.10;
+      text += " fault_duplicate=0.15 fault_reorder=0.15 fault_delay=0.10";
       break;
     case PlanKind::kCrashResume:
       // Lossless wire, crashing fleet: the pure crash-resume exercise —
       // divergence here is a cursor/replay bug, nothing else.
-      cfg.plan.duplicate_rate = 0.10;
-      cfg.plan.reorder_rate = 0.10;
-      cfg.plan.delay_rate = 0.10;
-      cfg.crash_every_rounds = 5;
+      text += " fault_duplicate=0.10 fault_reorder=0.10 fault_delay=0.10"
+              " crash_every=5";
       break;
     case PlanKind::kKitchenSink:
-      cfg.plan.drop_rate = 0.04;
-      cfg.plan.corrupt_rate = 0.03;
-      cfg.plan.duplicate_rate = 0.10;
-      cfg.plan.reorder_rate = 0.10;
-      cfg.plan.delay_rate = 0.10;
-      cfg.crash_every_rounds = 7;
+      text += " fault_drop=0.04 fault_corrupt=0.03 fault_duplicate=0.10"
+              " fault_reorder=0.10 fault_delay=0.10 crash_every=7";
       break;
   }
-  return cfg;
+  return sim::parse_scenario(text);
 }
 
 /// Invariants every run must satisfy, faults or not: cursors caught up,
 /// store drained by GC, every ack accepted, nothing expired out of the
 /// verifiers' retention window.
-void assert_no_stuck_state(const sim::FaultScenarioResult& r,
-                           const std::string& what) {
+void assert_no_stuck_state(const sim::ScenarioOutcome& r) {
+  const std::string& what = r.repro;
   ASSERT_GT(r.total_packets, 0u) << what;
-  std::uint64_t delivered_groups = 0;
   for (std::size_t h = 0; h < r.consumer_lag_end.size(); ++h) {
     EXPECT_EQ(r.consumer_lag_end[h], 0u)
         << what << ": hop " << h << ": consumer cursor stuck behind head";
-    EXPECT_EQ(r.client_stats[h].ack_rejections, 0u)
-        << what << ": hop " << h << ": a boundary ack was rejected";
-    delivered_groups += r.client_stats[h].groups_delivered;
   }
-  EXPECT_GT(delivered_groups, 0u) << what;
+  EXPECT_EQ(r.ack_rejections, 0u) << what << ": a boundary ack was rejected";
+  EXPECT_GT(r.groups_delivered, 0u) << what;
   EXPECT_EQ(r.store_envelopes_end, 0u)
       << what << ": acked envelopes must be garbage-collected";
-  EXPECT_GT(r.gc_erased, 0u) << what << ": the GC floor never advanced";
-  EXPECT_EQ(r.fault_expired_unmatched, 0u) << what;
-  EXPECT_EQ(r.ref_expired_unmatched, 0u) << what;
+  EXPECT_GT(r.store_gc_erased, 0u) << what << ": the GC floor never advanced";
+  EXPECT_EQ(r.expired_unmatched, 0u) << what;
+  EXPECT_EQ(r.reference_expired_unmatched, 0u) << what;
 }
 
 /// The gap-exactness half: reported gaps anchor at destroyed sequences
 /// and cover every destroyed sequence — reordering/delay/duplication
 /// alone never degrade into a gap.
-void assert_gaps_exact(const sim::FaultScenarioResult& r,
-                       const std::string& what) {
+void assert_gaps_exact(const sim::ScenarioOutcome& r) {
+  const std::string& what = r.repro;
+  ASSERT_EQ(r.lost_sequences.size(), r.gaps.size()) << what;
   for (std::size_t h = 0; h < r.gaps.size(); ++h) {
     const std::set<std::uint64_t> lost(r.lost_sequences[h].begin(),
                                        r.lost_sequences[h].end());
@@ -116,22 +111,24 @@ void assert_gaps_exact(const sim::FaultScenarioResult& r,
   }
 }
 
-/// The findings half.  Lossless runs must match the reference EXACTLY
-/// (operator==, gaps empty both sides); lossy runs must match on every
-/// finding while the gap vectors carry the difference.
-void assert_findings(const sim::FaultScenarioResult& r, bool lossless,
-                     const std::string& what) {
-  for (std::size_t p = 0; p < r.fault_analysis.size(); ++p) {
-    const core::PathAnalysis& fa = r.fault_analysis[p];
-    const core::PathAnalysis& ra = r.ref_analysis[p];
+/// The findings half.  Lossless runs must match the delivered-round
+/// reference EXACTLY (operator==, gaps empty both sides); lossy runs must
+/// match on every finding while the gap vectors carry the difference.
+void assert_findings(const sim::ScenarioOutcome& r, bool lossless) {
+  const std::string& what = r.repro;
+  ASSERT_EQ(r.delivered_reference.size(), r.analysis.size()) << what;
+  for (std::size_t p = 0; p < r.analysis.size(); ++p) {
+    const core::PathAnalysis& fa = r.analysis[p];
+    const core::PathAnalysis& ra = r.delivered_reference[p];
     EXPECT_TRUE(ra.complete()) << what << ": reference grew gaps";
     if (lossless) {
       ASSERT_EQ(fa, ra) << what << ": path " << p
                         << ": findings diverged on a lossless wire";
       EXPECT_TRUE(fa.complete()) << what << ": path " << p;
       // The equality is non-trivial: delays matched, traffic accounted.
+      // S,X,D has one transit domain and two inter-domain links.
       ASSERT_EQ(fa.domains.size(), 1u) << what;
-      ASSERT_EQ(fa.links.size(), 1u) << what;
+      ASSERT_EQ(fa.links.size(), 2u) << what;
       EXPECT_GT(fa.domains[0].delay.common_samples, 0u) << what;
       EXPECT_GT(fa.domains[0].loss.offered, 0u) << what;
     } else {
@@ -144,41 +141,31 @@ void assert_findings(const sim::FaultScenarioResult& r, bool lossless,
   }
 }
 
-void run_one(std::uint64_t seed, net::DigestMode mode, PlanKind kind) {
-  const sim::FaultScenarioConfig cfg = soak_config(seed, mode, kind);
-  const sim::FaultScenarioResult r = sim::run_fault_scenario(cfg);
-  const std::string what = "seed " + std::to_string(seed) +
-                           (mode == net::DigestMode::kSingle ? " single"
-                                                             : " indep");
-  assert_no_stuck_state(r, what);
-  assert_gaps_exact(r, what);
-  assert_findings(r, cfg.plan.lossless(), what);
+void run_one(std::uint64_t seed, const char* digest, PlanKind kind) {
+  const sim::ScenarioConfig cfg = soak_config(seed, digest, kind);
+  const sim::ScenarioOutcome r = sim::run_scenario(cfg);
+  const std::string& what = r.repro;
+  assert_no_stuck_state(r);
+  assert_gaps_exact(r);
+  assert_findings(r, cfg.faults.lossless());
 
-  std::size_t destroyed = 0;
-  std::size_t duplicated = 0;
-  std::size_t reordered_or_delayed = 0;
-  for (const dissem::FaultStats& t : r.transport) {
-    destroyed += t.dropped + t.corrupted;
-    duplicated += t.duplicated;
-    reordered_or_delayed += t.reordered + t.delayed;
-  }
   switch (kind) {
     case PlanKind::kDropOnly:
-      EXPECT_GT(destroyed, 0u) << what << ": plan induced no loss";
+      EXPECT_GT(r.envelopes_destroyed, 0u) << what << ": plan induced no loss";
       break;
     case PlanKind::kDupReorder:
-      EXPECT_EQ(destroyed, 0u);
-      EXPECT_GT(duplicated, 0u) << what;
-      EXPECT_GT(reordered_or_delayed, 0u) << what;
+      EXPECT_EQ(r.envelopes_destroyed, 0u) << what;
+      EXPECT_GT(r.envelopes_duplicated, 0u) << what;
+      EXPECT_GT(r.envelopes_reordered_or_delayed, 0u) << what;
       EXPECT_GT(r.store_rejected, 0u)
           << what << ": duplicate copies must be rejected, not re-applied";
       break;
     case PlanKind::kCrashResume:
-      EXPECT_EQ(destroyed, 0u);
+      EXPECT_EQ(r.envelopes_destroyed, 0u) << what;
       EXPECT_GT(r.client_rebuilds, 0u) << what;
       break;
     case PlanKind::kKitchenSink:
-      EXPECT_GT(destroyed, 0u) << what;
+      EXPECT_GT(r.envelopes_destroyed, 0u) << what;
       EXPECT_GT(r.client_rebuilds, 0u) << what;
       EXPECT_GT(r.store_rejected, 0u)
           << what << ": corrupted envelopes must die at the MAC check";
@@ -190,8 +177,8 @@ void run_one(std::uint64_t seed, net::DigestMode mode, PlanKind kind) {
 // across cases so ctest can parallelize.
 void run_matrix(PlanKind kind) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    run_one(seed, net::DigestMode::kSingle, kind);
-    run_one(seed, net::DigestMode::kIndependent, kind);
+    run_one(seed, "single", kind);
+    run_one(seed, "independent", kind);
   }
 }
 

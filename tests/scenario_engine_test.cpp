@@ -45,9 +45,12 @@ TEST(ScenarioConfig, EventfulConfigRoundTripsExactly) {
       "fake_delay_us=700 link_down=2:3:1 route_flap=1:4:2 ttl_rounds=3 "
       "chunk_bytes=2048 fault_drop=0.01 fault_corrupt=0.02 "
       "fault_duplicate=0.03 fault_reorder=0.04 fault_delay=0.05 "
-      "fault_max_delay_ticks=3 fault_seed=17 crash_every=3 gap_patience=5";
+      "fault_max_delay_ticks=3 fault_seed=17 crash_every=3 gap_patience=5 "
+      "churn=2:2:4";
   const ScenarioConfig cfg = parse_scenario(text);
   EXPECT_EQ(cfg.domains.size(), 5u);
+  EXPECT_EQ(cfg.churn, (sim::ChurnSchedule{.stable = 2, .live = 2,
+                                           .lifetime_rounds = 4}));
   EXPECT_EQ(cfg.adversaries.size(), 2u);
   EXPECT_EQ(cfg.round_length, net::microseconds(40'000));
   EXPECT_EQ(cfg.faults.max_delay_ticks, 3u);
@@ -99,6 +102,26 @@ TEST(ScenarioConfig, RejectsMalformedInput) {
                std::invalid_argument);
   EXPECT_THROW((void)parse_scenario("link_down=1:2"), std::invalid_argument);
   EXPECT_THROW((void)parse_scenario("domains=S,,D"), std::invalid_argument);
+  EXPECT_THROW((void)parse_scenario("churn=1:2"), std::invalid_argument);
+  // Counts carry no sign: stoull would wrap -1 to 2^64-1.
+  EXPECT_THROW((void)parse_scenario("rounds=-1"), std::invalid_argument);
+  EXPECT_THROW((void)parse_scenario("gap_patience=-2"),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_scenario("paths=+3"), std::invalid_argument);
+  EXPECT_THROW((void)parse_scenario("churn=1:-2:3"), std::invalid_argument);
+  // A duration whose nanosecond value overflows int64 (it would wrap
+  // negative, and its repro line would not round-trip).
+  EXPECT_THROW((void)parse_scenario("round_us=18446744073709551"),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_scenario("jitter_us=9223372036854776"),
+               std::invalid_argument);
+  EXPECT_EQ(parse_scenario("jitter_us=9223372036854775").jitter,
+            net::microseconds(9'223'372'036'854'775));
+  // Non-finite numbers.
+  EXPECT_THROW((void)parse_scenario("loss_rate=nan"), std::invalid_argument);
+  EXPECT_THROW((void)parse_scenario("pps=inf"), std::invalid_argument);
+  EXPECT_THROW((void)parse_scenario("zipf=-infinity"),
+               std::invalid_argument);
 }
 
 TEST(ScenarioEngine, ValidatesConfigs) {
@@ -125,6 +148,11 @@ TEST(ScenarioEngine, ValidatesConfigs) {
                std::invalid_argument);
   // link_down index must name a real link.
   EXPECT_THROW((void)run_scenario(cfg_of("link_down=2:1:1")),
+               std::invalid_argument);
+  // A churn schedule needs a live slot and a pool beyond the stable set.
+  EXPECT_THROW((void)run_scenario(cfg_of("paths=4 churn=2:0:3")),
+               std::invalid_argument);
+  EXPECT_THROW((void)run_scenario(cfg_of("paths=4 churn=4:1:3")),
                std::invalid_argument);
   // Fault delays the gap patience cannot cover would deadlock waits.
   EXPECT_THROW((void)run_scenario(cfg_of(

@@ -107,10 +107,15 @@ PathRunResult run_path(std::span<const net::Packet> trace,
   }
 
   // A HOP observes packets in local arrival order: jitter may have
-  // reordered nearby packets relative to trace order.
+  // reordered nearby packets relative to trace order.  Without it the
+  // sequences are already in order, and the check keeps this linear.
+  const auto by_time = [](const Obs& a, const Obs& b) {
+    return a.when < b.when;
+  };
   for (ObsSeq& seq : result.hop_observations) {
-    std::stable_sort(seq.begin(), seq.end(),
-                     [](const Obs& a, const Obs& b) { return a.when < b.when; });
+    if (!std::is_sorted(seq.begin(), seq.end(), by_time)) {
+      std::stable_sort(seq.begin(), seq.end(), by_time);
+    }
   }
   return result;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
 #include <utility>
 
 namespace vpm::sim::scenario {
@@ -110,6 +111,82 @@ std::size_t round_of(net::Timestamp origin, std::int64_t round_ns,
   auto r = static_cast<std::size_t>(origin.nanoseconds() / round_ns);
   if (r >= rounds) r = rounds - 1;
   return r;
+}
+
+HopFeeds order_observations(std::span<const net::Packet> fg,
+                            std::span<const std::uint32_t> fg_path,
+                            std::size_t paths, std::size_t hops,
+                            std::int64_t round_ns, std::size_t rounds,
+                            PathRunner run) {
+  // Counting pass: path p's packets are by_path[begin[p] .. begin[p+1]),
+  // foreground indices ascending.
+  std::vector<std::size_t> begin(paths + 1, 0);
+  for (const std::uint32_t p : fg_path) {
+    if (p >= paths) {
+      throw std::invalid_argument("order_observations: path out of range");
+    }
+    ++begin[p + 1];
+  }
+  for (std::size_t p = 0; p < paths; ++p) begin[p + 1] += begin[p];
+  std::vector<std::uint32_t> by_path(fg.size());
+  {
+    std::vector<std::size_t> fill(begin.begin(), begin.end() - 1);
+    for (std::size_t i = 0; i < fg.size(); ++i) {
+      by_path[fill[fg_path[i]]++] = static_cast<std::uint32_t>(i);
+    }
+  }
+
+  // Each HOP scatters its keys into a slot per foreground packet, so the
+  // compacted keys come out in foreground order: already time order
+  // unless something reordered packets.
+  constexpr std::int64_t kUnobserved = -1;
+  HopFeeds feeds;
+  feeds.keys.assign(hops, std::vector<ObsKey>(fg.size(), {kUnobserved, 0}));
+  std::vector<net::Packet> path_trace;
+  for (std::size_t p = 0; p < paths; ++p) {
+    const std::span<const std::uint32_t> to_fg(by_path.data() + begin[p],
+                                               begin[p + 1] - begin[p]);
+    path_trace.clear();
+    for (const std::uint32_t i : to_fg) path_trace.push_back(fg[i]);
+    const PathRunResult result = run(p, path_trace, to_fg);
+    if (result.hop_observations.size() != hops) {
+      throw std::invalid_argument("order_observations: wrong HOP count");
+    }
+    for (std::size_t pos = 0; pos < hops; ++pos) {
+      for (const Obs& o : result.hop_observations[pos]) {
+        const std::int64_t when = quantize_us(o.when).nanoseconds();
+        if (when < 0) {
+          throw std::invalid_argument(
+              "order_observations: negative observation time");
+        }
+        const std::size_t i = to_fg[o.pkt];
+        feeds.keys[pos][i] = ObsKey{when, i};
+      }
+    }
+  }
+
+  feeds.round_begin.resize(hops);
+  for (std::size_t pos = 0; pos < hops; ++pos) {
+    std::vector<ObsKey>& keys = feeds.keys[pos];
+    std::erase_if(keys,
+                  [](const ObsKey& k) { return k.when_ns == kUnobserved; });
+    if (!std::is_sorted(keys.begin(), keys.end())) {
+      std::sort(keys.begin(), keys.end());
+    }
+    // Round r starts at its first key at or past r * round_ns; the last
+    // round runs to the end, stragglers included.
+    std::vector<std::size_t>& b = feeds.round_begin[pos];
+    b.assign(rounds + 1, keys.size());
+    b[0] = 0;
+    for (std::size_t r = 1; r < rounds; ++r) {
+      const ObsKey edge{static_cast<std::int64_t>(r) * round_ns, 0};
+      b[r] = static_cast<std::size_t>(
+          std::lower_bound(keys.begin() + static_cast<std::ptrdiff_t>(b[r - 1]),
+                           keys.end(), edge) -
+          keys.begin());
+    }
+  }
+  return feeds;
 }
 
 }  // namespace vpm::sim::scenario

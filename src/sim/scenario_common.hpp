@@ -1,23 +1,29 @@
 // Shared plumbing for the config-driven ScenarioEngine, the federation
 // and shard drivers, and the end-to-end pipeline benchmark: deterministic
 // seeds and per-path delay spreads, PathId table construction, gap
-// deduplication, and fetch-client stat accumulation.  The scenario grid,
+// deduplication, fetch-client stat accumulation, and the engine's
+// group-by-path and per-HOP observation ordering.  The scenario grid,
 // the fault and churn soaks (both run on the engine) and the federation
 // soak pin these byte-for-byte — change semantics here and the pins
 // fail, by design.
 #ifndef VPM_SIM_SCENARIO_COMMON_HPP
 #define VPM_SIM_SCENARIO_COMMON_HPP
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "collector/monitoring_cache.hpp"
+#include "core/function_ref.hpp"
 #include "core/verifier.hpp"
 #include "dissem/fetch_client.hpp"
+#include "net/packet.hpp"
 #include "net/path_id.hpp"
 #include "net/prefix.hpp"
 #include "net/time.hpp"
+#include "sim/path_run.hpp"
 #include "trace/synthetic_trace.hpp"
 
 namespace vpm::sim::scenario {
@@ -72,6 +78,54 @@ void add_stats(dissem::FetchClient::Stats& acc,
 /// (trailing packets emitted exactly at the duration boundary).
 [[nodiscard]] std::size_t round_of(net::Timestamp origin,
                                    std::int64_t round_ns, std::size_t rounds);
+
+/// One HOP observation in feed order: the µs-quantised local time, then
+/// the packet's index in the foreground trace.  The trace generator
+/// assigns sequence numbers in arrival order and never reuses one, so
+/// foreground order is sequence order and (when, fg) is a strict total
+/// order: a HOP observes in local-clock order, same-µs packets in
+/// sequence order.
+struct ObsKey {
+  std::int64_t when_ns = 0;
+  std::size_t fg = 0;
+
+  friend auto operator<=>(const ObsKey&, const ObsKey&) = default;
+};
+
+/// Every HOP's observations, ordered for the collector feed.
+struct HopFeeds {
+  std::vector<std::vector<ObsKey>> keys;  ///< per HOP position, ascending
+  /// Per HOP position: rounds + 1 offsets into `keys`.
+  std::vector<std::vector<std::size_t>> round_begin;
+
+  /// Round `r`'s observations at HOP position `hop`: bucketed by
+  /// observation time, stragglers past the last boundary folded into the
+  /// last round.
+  [[nodiscard]] std::span<const ObsKey> round(std::size_t hop,
+                                              std::size_t r) const {
+    const std::vector<std::size_t>& b = round_begin[hop];
+    return std::span<const ObsKey>(keys[hop]).subspan(b[r], b[r + 1] - b[r]);
+  }
+};
+
+/// Runs path `path` (its foreground packets `trace`, in arrival order;
+/// `to_fg[i]` is trace[i]'s foreground index) through the chain.
+using PathRunner = core::FunctionRef<PathRunResult(
+    std::size_t path, std::span<const net::Packet> trace,
+    std::span<const std::uint32_t> to_fg)>;
+
+/// The scenario harness's group-and-order step, linear unless something
+/// reorders packets: one counting pass groups the foreground trace `fg` by
+/// path (`fg_path[i]` is fg[i]'s path); `run` propagates each path, in path
+/// order; each HOP's observations become (when, fg) keys, emitted in
+/// foreground order and sorted only if that is not already time order;
+/// rounds are contiguous ranges of the ordered keys.  Throws
+/// std::invalid_argument on a path index >= `paths`, a run result without
+/// `hops` observation sequences, or a negative observation time.
+[[nodiscard]] HopFeeds order_observations(
+    std::span<const net::Packet> fg, std::span<const std::uint32_t> fg_path,
+    std::size_t paths, std::size_t hops, std::int64_t round_ns,
+    std::size_t rounds, PathRunner run);
 
 }  // namespace vpm::sim::scenario
 

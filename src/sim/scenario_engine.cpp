@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -109,13 +111,19 @@ bool churn_live(const ChurnSchedule& c, std::size_t paths, std::size_t path,
   return false;
 }
 
-/// One merged observation, pre-sorted per hop/round before collector feed.
-struct MergedObs {
-  net::Packet packet;
-  net::Timestamp when;
-};
-
 }  // namespace
+
+std::string RoundHealth::to_string() const {
+  return "arena_bytes=" + std::to_string(arena_bytes) +
+         " arena_live_bytes=" + std::to_string(arena_live_bytes) +
+         " store_envelopes=" + std::to_string(store_envelopes) +
+         " store_payload_bytes=" + std::to_string(store_payload_bytes) +
+         " shipped_payload_bytes=" + std::to_string(shipped_payload_bytes) +
+         " verifier_entries=" + std::to_string(verifier_entries) +
+         " evicted_paths=" + std::to_string(evicted_paths) +
+         " compactions=" + std::to_string(compactions) +
+         " reclaimed_arena_bytes=" + std::to_string(reclaimed_arena_bytes);
+}
 
 bool ScenarioOutcome::honest_clean() const {
   for (const core::PathAnalysis& a : analysis) {
@@ -200,7 +208,7 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg, const DrainTap& tap) {
           : transit_index(cfg, cfg.jitter_domain, "jitter domain");
 
   // --- traffic, filtered by the route-flap window and the churn schedule --
-  const trace::MultiPathTrace multi = trace::generate_multi_path(
+  trace::MultiPathTrace multi = trace::generate_multi_path(
       scenario::multi_path_config(cfg.paths, cfg.zipf_s,
                                   cfg.packets_per_second, cfg.round_length,
                                   cfg.rounds, cfg.seed));
@@ -211,20 +219,24 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg, const DrainTap& tap) {
   const std::size_t flap_end =
       cfg.route_flap.round + cfg.route_flap.duration_rounds;
 
-  std::vector<net::Packet> fg_packets;   // merged, arrival order
-  std::vector<std::size_t> fg_path;      // path of fg_packets[i]
+  std::vector<net::Packet> fg_packets;  // merged, arrival order
+  std::vector<std::uint32_t> fg_path;   // path of fg_packets[i]
   fg_packets.reserve(multi.packets.size());
+  fg_path.reserve(multi.packets.size());
   for (std::size_t i = 0; i < multi.packets.size(); ++i) {
     net::Packet p = multi.packets[i];
     p.origin_time = scenario::quantize_us(p.origin_time);
     const std::size_t r =
         scenario::round_of(p.origin_time, round_ns, cfg.rounds);
-    const std::size_t path = multi.path_of[i];
+    const std::uint32_t path = multi.path_of[i];
     if (path >= flap_first && r >= flap_start && r < flap_end) continue;
     if (!churn_live(cfg.churn, cfg.paths, path, r)) continue;
     fg_packets.push_back(p);
     fg_path.push_back(path);
   }
+  // Only the path table outlives the filter.
+  std::vector<net::Packet>().swap(multi.packets);
+  std::vector<std::uint32_t>().swap(multi.path_of);
   if (fg_packets.empty()) {
     throw std::invalid_argument("scenario: no traffic survives the config");
   }
@@ -247,19 +259,9 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg, const DrainTap& tap) {
                               std::vector<std::uint64_t>(cfg.paths, 0));
   out.wire_packets.assign(n_hops, std::vector<std::uint64_t>(cfg.paths, 0));
 
-  // obs_by_round[pos][r]: merged observations, sorted by local time.
-  std::vector<std::vector<std::vector<MergedObs>>> obs_by_round(
-      n_hops, std::vector<std::vector<MergedObs>>(cfg.rounds));
-
-  for (std::size_t p = 0; p < cfg.paths; ++p) {
-    std::vector<net::Packet> path_trace;
-    std::vector<std::size_t> to_fg;  // local packet index -> fg index
-    for (std::size_t i = 0; i < fg_packets.size(); ++i) {
-      if (fg_path[i] != p) continue;
-      path_trace.push_back(fg_packets[i]);
-      to_fg.push_back(i);
-    }
-
+  const auto run_one = [&](std::size_t p,
+                           std::span<const net::Packet> path_trace,
+                           std::span<const std::uint32_t> to_fg) {
     PathEnvironment env;
     env.seed = scenario::mix(cfg.seed ^ (0x9E3779B97F4A7C15ull + p));
     env.domains.resize(n_domains);
@@ -287,11 +289,11 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg, const DrainTap& tap) {
         env.domains[loss_d].loss = loss_model.get();
         break;
       case LossKind::kCongestion:
-        env.domains[loss_d].delay_of = [&congestion, &to_fg](PacketIndex i) {
+        env.domains[loss_d].delay_of = [&congestion, to_fg](PacketIndex i) {
           return congestion.outcomes[to_fg[i]].delay;
         };
         env.domains[loss_d].drop_by_index = [&congestion,
-                                             &to_fg](PacketIndex i) {
+                                             to_fg](PacketIndex i) {
           return congestion.outcomes[to_fg[i]].dropped;
         };
         break;
@@ -322,33 +324,16 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg, const DrainTap& tap) {
     }
     for (std::size_t pos = 0; pos < n_hops; ++pos) {
       out.observed_packets[pos][p] = run.hop_observations[pos].size();
-      for (const Obs& o : run.hop_observations[pos]) {
-        // Bucket by OBSERVATION time, not origin round: a hop observes in
-        // local-clock order, and feeding it anything else (origin-round
-        // buckets overlap in `when` once jitter or queueing delay exceeds
-        // the inter-packet gap) produces receipts with backward time steps
-        // that the wire codec rightly rejects.  Stragglers past the last
-        // boundary fold into the final round.
-        const net::Timestamp when = scenario::quantize_us(o.when);
-        const std::size_t r_obs = std::min<std::size_t>(
-            cfg.rounds - 1,
-            static_cast<std::size_t>(when.nanoseconds() / round_ns));
-        obs_by_round[pos][r_obs].push_back(MergedObs{
-            .packet = path_trace[o.pkt],
-            .when = when,
-        });
-      }
     }
-  }
-  for (auto& per_hop : obs_by_round) {
-    for (std::vector<MergedObs>& bucket : per_hop) {
-      std::sort(bucket.begin(), bucket.end(),
-                [](const MergedObs& a, const MergedObs& b) {
-                  if (a.when != b.when) return a.when < b.when;
-                  return a.packet.sequence < b.packet.sequence;
-                });
-    }
-  }
+    return run;
+  };
+  // Bucket by OBSERVATION time, not origin round: a hop observes in
+  // local-clock order, and feeding it anything else (origin-round buckets
+  // overlap in `when` once jitter or queueing delay exceeds the
+  // inter-packet gap) produces receipts with backward time steps that the
+  // wire codec rightly rejects.
+  const scenario::HopFeeds feeds = scenario::order_observations(
+      fg_packets, fg_path, cfg.paths, n_hops, round_ns, cfg.rounds, run_one);
 
   // --- collectors (rebuilt on route-flap transitions) ---------------------
   std::vector<collector::MonitoringCache::Config> hop_cfg(n_hops);
@@ -599,6 +584,8 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg, const DrainTap& tap) {
   };
 
   // --- the rounds ---------------------------------------------------------
+  std::vector<net::Packet> packets;  // one round's feed at one HOP
+  std::vector<net::Timestamp> when;
   for (std::size_t r = 0; r < cfg.rounds; ++r) {
     if (cfg.crash_every_rounds != 0 && r != 0 &&
         r % cfg.crash_every_rounds == 0) {
@@ -625,14 +612,11 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg, const DrainTap& tap) {
 
     std::vector<Stream> streams(n_hops);
     for (std::size_t pos = 0; pos < n_hops; ++pos) {
-      const std::vector<MergedObs>& bucket = obs_by_round[pos][r];
-      std::vector<net::Packet> packets;
-      std::vector<net::Timestamp> when;
-      packets.reserve(bucket.size());
-      when.reserve(bucket.size());
-      for (const MergedObs& o : bucket) {
-        packets.push_back(o.packet);
-        when.push_back(o.when);
+      packets.clear();
+      when.clear();
+      for (const scenario::ObsKey& k : feeds.round(pos, r)) {
+        packets.push_back(fg_packets[k.fg]);
+        when.push_back(net::Timestamp{k.when_ns});
       }
       collectors[pos]->observe_batch(packets, when);
 

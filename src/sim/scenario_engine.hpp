@@ -88,6 +88,10 @@ struct RoundHealth {
   std::size_t compactions = 0;
   std::size_t reclaimed_arena_bytes = 0;
   friend bool operator==(const RoundHealth&, const RoundHealth&) = default;
+
+  /// One line of `field=value` pairs, in declaration order — what grid
+  /// failure messages print next to the repro string.
+  [[nodiscard]] std::string to_string() const;
 };
 
 struct ScenarioOutcome {

@@ -1,5 +1,7 @@
 #include "trace/synthetic_trace.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -171,6 +173,14 @@ MultiPathTrace generate_multi_path(const MultiPathConfig& cfg) {
   std::vector<SizeBucket> sizes = {{40, 0.50}, {400, 0.30}, {1500, 0.20}};
 
   const double horizon_s = cfg.duration.seconds();
+  // The arrival count is Poisson(rate x horizon): eight standard
+  // deviations of headroom make a regrowth vanishingly rare.
+  const double expected =
+      std::max(0.0, cfg.total_packets_per_second * horizon_s);
+  const auto capacity =
+      static_cast<std::size_t>(expected + 8.0 * std::sqrt(expected)) + 64;
+  trace.packets.reserve(capacity);
+  trace.path_of.reserve(capacity);
   double clock_s = 0.0;
   std::uint64_t seq = 0;
   for (;;) {

@@ -14,6 +14,7 @@ namespace vpm {
 namespace {
 
 using sim::parse_scenario;
+using sim::RoundHealth;
 using sim::run_scenario;
 using sim::ScenarioConfig;
 using sim::ScenarioOutcome;
@@ -172,6 +173,31 @@ TEST(ScenarioEngine, DeterministicAndReproducible) {
   EXPECT_EQ(a, b) << "same config diverged; repro: " << a.repro;
   const ScenarioOutcome c = run_scenario(parse_scenario(a.repro));
   EXPECT_EQ(a, c) << "repro line is not self-contained; repro: " << a.repro;
+}
+
+// Grid failure messages end with the cell's last health record, then
+// the repro string (last, so it pastes as is).
+TEST(ScenarioEngine, FailureTrailerCarriesLastRoundHealth) {
+  const RoundHealth h{.arena_bytes = 1,
+                      .arena_live_bytes = 2,
+                      .store_envelopes = 3,
+                      .store_payload_bytes = 4,
+                      .shipped_payload_bytes = 5,
+                      .verifier_entries = 6,
+                      .evicted_paths = 7,
+                      .compactions = 8,
+                      .reclaimed_arena_bytes = 9};
+  EXPECT_EQ(h.to_string(),
+            "arena_bytes=1 arena_live_bytes=2 store_envelopes=3 "
+            "store_payload_bytes=4 shipped_payload_bytes=5 "
+            "verifier_entries=6 evicted_paths=7 compactions=8 "
+            "reclaimed_arena_bytes=9");
+  const ScenarioOutcome out =
+      run_scenario(parse_scenario(load_scenario_file("honest_baseline.conf")));
+  ASSERT_FALSE(out.rounds.empty());
+  EXPECT_EQ(test::trailer(out), "last round: " +
+                                    out.rounds.back().to_string() +
+                                    "; repro: " + out.repro);
 }
 
 TEST(ScenarioEngine, HonestBaselineFile) {

@@ -3,10 +3,10 @@
 // run_scenario call.
 //
 // Every assertion helper returns a testing::AssertionResult whose failure
-// message embeds the cell's one-line repro string
-// (ScenarioOutcome::repro, which always carries name and seed): paste it
-// into `example_scenario_run '<repro>'` and the exact failing run
-// re-executes outside the test harness.
+// message ends with the cell's last per-round health record and its
+// one-line repro string (ScenarioOutcome::repro, which always carries name
+// and seed): paste the repro into `example_scenario_run '<repro>'` and the
+// exact failing run re-executes outside the test harness.
 #ifndef VPM_TESTS_SCENARIO_GRID_HPP
 #define VPM_TESTS_SCENARIO_GRID_HPP
 
@@ -120,6 +120,17 @@ inline sim::ScenarioConfig jitter_cell(sim::LossKind loss,
 
 // ---------------------------------------------------------------- asserts
 
+/// The tail of every grid failure message: the cell's last RoundHealth
+/// record (what the system held when the run ended), then its one-line
+/// repro string, last so it pastes as is.
+inline std::string trailer(const sim::ScenarioOutcome& out) {
+  std::string s;
+  if (!out.rounds.empty()) {
+    s = "last round: " + out.rounds.back().to_string() + "; ";
+  }
+  return s + "repro: " + out.repro;
+}
+
 /// Zero false positives: every link consistent, every round delivered.
 inline testing::AssertionResult is_clean(const sim::ScenarioOutcome& out) {
   if (out.honest_clean()) return testing::AssertionSuccess();
@@ -133,7 +144,7 @@ inline testing::AssertionResult is_clean(const sim::ScenarioOutcome& out) {
              << g.last_sequence << "]; ";
     }
   }
-  return result << "repro: " << out.repro;
+  return result << trailer(out);
 }
 
 /// Receipt conservation: every packet a HOP observed is counted by
@@ -146,7 +157,7 @@ inline testing::AssertionResult conserves_receipts(
         return testing::AssertionFailure()
                << "hop " << h + 1 << " path " << p << ": observed "
                << out.observed_packets[h][p] << " != wire "
-               << out.wire_packets[h][p] << "; repro: " << out.repro;
+               << out.wire_packets[h][p] << "; " << trailer(out);
       }
     }
   }
@@ -162,7 +173,7 @@ inline testing::AssertionResult loss_tracks_truth(
   if (std::abs(est - truth) <= tol) return testing::AssertionSuccess();
   return testing::AssertionFailure()
          << "domain " << domain << ": estimated " << est << " vs true "
-         << truth << " (tol " << tol << "); repro: " << out.repro;
+         << truth << " (tol " << tol << "); " << trailer(out);
 }
 
 /// Detection: exactly the (up, down) link is implicated, nothing else.
@@ -176,7 +187,7 @@ inline testing::AssertionResult only_implicates(
   auto result = testing::AssertionFailure()
                 << "want exactly " << up << "->" << down << ", got [";
   for (const auto& [u, d] : links) result << u << "->" << d << " ";
-  return result << "]; repro: " << out.repro;
+  return result << "]; " << trailer(out);
 }
 
 /// The §3.1 collusion outcome: no link implicated, the covering domain
@@ -186,8 +197,8 @@ inline testing::AssertionResult blame_displaced(
     const std::string& cover, double tol) {
   if (!out.honest_clean()) {
     return testing::AssertionFailure()
-           << "collusion should be invisible at the covered link; repro: "
-           << out.repro;
+           << "collusion should be invisible at the covered link; "
+           << trailer(out);
   }
   const double liar_est = out.estimated_loss(liar);
   const double displaced = out.estimated_loss(cover);
@@ -198,7 +209,7 @@ inline testing::AssertionResult blame_displaced(
   return testing::AssertionFailure()
          << liar << " shows " << liar_est << " (want ~0), " << cover
          << " shows " << displaced << " (want ~" << hidden
-         << "); repro: " << out.repro;
+         << "); " << trailer(out);
 }
 
 // ----------------------------------------------------------- cell checks
@@ -245,12 +256,12 @@ inline void check_cell(GridClass cls, sim::LossKind loss,
                        net::DigestMode mode, std::uint64_t seed) {
   const sim::ScenarioConfig cfg = build_cell(cls, loss, mode, seed);
   const sim::ScenarioOutcome out = sim::run_scenario(cfg);
-  SCOPED_TRACE("repro: " + out.repro);
+  SCOPED_TRACE(trailer(out));
   constexpr double kLossTol = 1e-9;
 
   // Every cell's loss process must actually bite, or the adversary
   // classes assert detection of a lie never told.
-  EXPECT_GT(out.true_loss("X"), 0.0) << "vacuous cell; repro: " << out.repro;
+  EXPECT_GT(out.true_loss("X"), 0.0) << "vacuous cell; " << trailer(out);
 
   switch (cls) {
     case GridClass::kHonest:
@@ -264,7 +275,7 @@ inline void check_cell(GridClass cls, sim::LossKind loss,
       EXPECT_TRUE(only_implicates(out, "X", "N"));
       // The lie works on X's own books: its receipts claim zero loss.
       EXPECT_LE(out.estimated_loss("X"), kLossTol)
-          << "repro: " << out.repro;
+          << trailer(out);
       break;
     case GridClass::kUnderstate:
       EXPECT_TRUE(only_implicates(out, "X", "N"));

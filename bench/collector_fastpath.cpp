@@ -279,6 +279,11 @@ void sweep_body(benchmark::State& state,
       static_cast<double>(packets);
   state.counters["buf_peak"] =
       static_cast<double>(cache.temp_buffer_peak_records());
+  // Buffered volume, the sweep's real working set: observation-log
+  // records still retained after the last replay, at 12 B each.
+  state.counters["log_records"] = static_cast<double>(cache.log_records());
+  state.counters["log_bytes_per_record"] =
+      static_cast<double>(collector::MonitoringCache::log_bytes_per_record());
 }
 
 // The deployable configuration: the time-keyed marker rule keeps every

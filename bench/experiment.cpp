@@ -1,5 +1,8 @@
 #include "experiment.hpp"
 
+#include <algorithm>
+#include <fstream>
+
 #include "net/simd_dispatch.hpp"
 
 namespace vpm::bench {
@@ -84,24 +87,75 @@ core::HopReceipts collect_hop(const XDomainScenario& s, std::size_t hop_pos,
 void JsonExportReporter::ReportRuns(const std::vector<Run>& reports) {
   for (const Run& run : reports) {
     // Only base iterations carry rates; aggregates (mean/median/stddev of
-    // repeated runs) would double-count, and errored runs have no data.
+    // repeated runs) are recomputed at write time from the repetitions
+    // collected here, and errored runs have no data.
     if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
     const auto ips = run.counters.find("items_per_second");
     if (ips == run.counters.end() || ips->second.value <= 0) continue;
 
-    Row row;
-    row.name = run.benchmark_name();
-    row.mpps = ips->second.value / 1e6;
-    row.ns_per_packet = 1e9 / ips->second.value;
-    const auto hashes = run.counters.find("hashes/pkt");
-    if (hashes != run.counters.end()) {
-      row.has_hashes = true;
-      row.hashes_per_packet = hashes->second.value;
+    const std::string name = run.benchmark_name();
+    auto row = std::find_if(rows_.begin(), rows_.end(),
+                            [&](const Row& r) { return r.name == name; });
+    if (row == rows_.end()) {
+      rows_.emplace_back();
+      rows_.back().name = name;
+      row = rows_.end() - 1;
     }
-    rows_.push_back(std::move(row));
+    row->ns_per_packet.push_back(1e9 / ips->second.value);
+    const auto counter = [&](const char* key, std::optional<double>& out) {
+      const auto it = run.counters.find(key);
+      if (it != run.counters.end()) out = it->second.value;
+    };
+    counter("hashes/pkt", row->hashes_per_packet);
+    counter("log_records", row->log_records);
+    counter("log_bytes_per_record", row->log_bytes_per_record);
   }
   ConsoleReporter::ReportRuns(reports);
 }
+
+namespace {
+
+/// Linear-interpolated quantile of an ascending sample.
+double quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
+}
+
+#if defined(__clang__)
+constexpr const char* kCompiler = "clang " __clang_version__;
+#else
+constexpr const char* kCompiler = "g++ " __VERSION__;
+#endif
+
+/// The measuring host, so a baseline is only compared on its own class:
+/// CPU model, usable cores, L2 size, compiler and benchmark library.
+void write_host(std::FILE* f) {
+  std::string cpu = "unknown";
+  {
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.rfind("model name", 0) == 0) {
+        cpu = line.substr(line.find(':') + 2);
+        break;
+      }
+    }
+  }
+  long l2_kib = 0;
+  for (const auto& c : benchmark::CPUInfo::Get().caches) {
+    if (c.level == 2) l2_kib = static_cast<long>(c.size / 1024);
+  }
+  std::fprintf(f,
+               "  \"host\": {\"cpu\": \"%s\", \"nproc\": %d, \"l2_kib\": %ld, "
+               "\"compiler\": \"%s\", \"benchmark\": \"%s\"},\n",
+               cpu.c_str(), benchmark::CPUInfo::Get().num_cpus, l2_kib,
+               kCompiler, VPM_BENCHMARK_VERSION);
+}
+
+}  // namespace
 
 bool JsonExportReporter::write(const std::string& bench_name,
                                const std::string& path) const {
@@ -110,15 +164,30 @@ bool JsonExportReporter::write(const std::string& bench_name,
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"simd_tier\": \"%s\",\n",
                bench_name.c_str(),
                net::simd::tier_name(net::simd::active_tier()));
+  write_host(f);
   std::fprintf(f, "  \"results\": [");
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     const Row& r = rows_[i];
+    std::vector<double> ns = r.ns_per_packet;
+    std::sort(ns.begin(), ns.end());
+    const double median = quantile(ns, 0.5);
     std::fprintf(f, "%s\n    {\"name\": \"%s\", ", i == 0 ? "" : ",",
                  r.name.c_str());
-    std::fprintf(f, "\"ns_per_packet\": %.4f, \"mpps\": %.4f",
-                 r.ns_per_packet, r.mpps);
-    if (r.has_hashes) {
-      std::fprintf(f, ", \"hashes_per_packet\": %.4f", r.hashes_per_packet);
+    std::fprintf(f, "\"ns_per_packet\": %.4f, \"mpps\": %.4f", median,
+                 1e3 / median);
+    if (r.hashes_per_packet) {
+      std::fprintf(f, ", \"hashes_per_packet\": %.4f", *r.hashes_per_packet);
+    }
+    if (r.log_records) {
+      std::fprintf(f, ", \"log_records\": %.0f", *r.log_records);
+    }
+    if (r.log_bytes_per_record) {
+      std::fprintf(f, ", \"log_bytes_per_record\": %.0f",
+                   *r.log_bytes_per_record);
+    }
+    if (ns.size() > 1) {
+      std::fprintf(f, ", \"repetitions\": %zu, \"ns_iqr\": [%.4f, %.4f]",
+                   ns.size(), quantile(ns, 0.25), quantile(ns, 0.75));
     }
     std::fprintf(f, "}");
   }

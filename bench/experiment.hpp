@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -117,18 +118,27 @@ inline void rule(int width) {
 //   {
 //     "bench": "fastpath",
 //     "simd_tier": "avx2",
+//     "host": {"cpu": "...", "nproc": 4, "l2_kib": 2048,
+//              "compiler": "...", "benchmark": "1.7.1"},
 //     "results": [
-//       {"name": "BM_CacheObservePathSweep/100000",
-//        "ns_per_packet": 139.2, "mpps": 7.18, "hashes_per_packet": 1.0},
+//       {"name": "BM_CacheObservePathSweepBounded/100000",
+//        "ns_per_packet": 139.2, "mpps": 7.18, "hashes_per_packet": 1.0,
+//        "log_records": 99012, "log_bytes_per_record": 12,
+//        "repetitions": 5, "ns_iqr": [136.0, 141.5]},
 //       ...
 //     ]
 //   }
 //
 // ns_per_packet/mpps derive from SetItemsProcessed (items == packets, the
-// convention every bench in this tree follows); hashes_per_packet is
-// emitted when the benchmark sets a "hashes/pkt" counter and omitted
-// otherwise.  Runs that processed no items (setup failures, pure-ms
-// benches without items) are skipped, never written as zeros.
+// convention every bench in this tree follows).  With
+// --benchmark_repetitions=N each benchmark is written once: ns_per_packet
+// is the median over the N runs, mpps its inverse, and "repetitions" and
+// "ns_iqr" (first and third quartile) give the spread.  hashes_per_packet,
+// log_records and log_bytes_per_record are emitted when the benchmark
+// sets the "hashes/pkt", "log_records" and "log_bytes_per_record"
+// counters, and omitted otherwise.  Runs that processed no items (setup
+// failures, pure-ms benches without items) are skipped, never written as
+// zeros.
 
 /// Console output plus a JSON export of per-packet rates (see above).
 class JsonExportReporter : public benchmark::ConsoleReporter {
@@ -142,10 +152,10 @@ class JsonExportReporter : public benchmark::ConsoleReporter {
  private:
   struct Row {
     std::string name;
-    double ns_per_packet = 0;
-    double mpps = 0;
-    double hashes_per_packet = 0;
-    bool has_hashes = false;
+    std::vector<double> ns_per_packet;  ///< one entry per repetition
+    std::optional<double> hashes_per_packet;
+    std::optional<double> log_records;
+    std::optional<double> log_bytes_per_record;
   };
   std::vector<Row> rows_;
 };

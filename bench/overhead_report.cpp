@@ -74,10 +74,22 @@ void memory_section() {
                   pps64, net::milliseconds(10))) / 1e6);
   std::printf(
       "  measured: sum of per-path buffer peaks on the 500 kpps workload\n"
-      "            above: %zu records -> %.0f KB\n",
+      "            above: %zu records -> %.0f KB at the paper's %zu B\n",
       cache.temp_buffer_peak_records(),
       static_cast<double>(cache.temp_buffer_peak_records() *
-                          collector::kTempRecordBytes) / 1e3);
+                          collector::kTempRecordBytes) / 1e3,
+      collector::kTempRecordBytes);
+  std::printf(
+      "  measured: %zu B per buffered packet (%zu B digest + %zu B time),\n"
+      "            held once: the temp buffer, the J window and pending\n"
+      "            AggTrans.after windows are views of one per-path log\n"
+      "            (paper: %zu B).  Retained now: %zu log records -> %.0f KB\n",
+      collector::MonitoringCache::log_bytes_per_record(),
+      sizeof(net::PacketDigest), sizeof(std::int64_t),
+      collector::kTempRecordBytes, cache.log_records(),
+      static_cast<double>(cache.log_records() *
+                          collector::MonitoringCache::log_bytes_per_record()) /
+          1e3);
   std::printf(
       "  REPRODUCTION FINDING: Algorithm 1 holds per-packet state until\n"
       "  the path's NEXT MARKER, i.e. ~1/marker_rate packets per path\n"
@@ -406,25 +418,23 @@ void processing_section() {
   // report its per-record cost on each tier next to how the driven cache
   // above attributed its sweeps.
   {
-    std::vector<core::TimedDigest> slice(4096);
+    std::vector<net::PacketDigest> slice(4096);
     std::uint64_t x = 0x9E3779B97F4A7C15ull;
-    for (auto& r : slice) {
+    for (auto& id : slice) {
       x ^= x << 13;
       x ^= x >> 7;
       x ^= x << 17;
-      r.id = static_cast<net::PacketDigest>(x);
-      r.time = net::Timestamp{static_cast<std::int64_t>(x >> 32)};
+      id = static_cast<net::PacketDigest>(x);
     }
     std::vector<std::uint32_t> idx(slice.size() + 1);
     const auto ns_per_record = [&](net::detail::SweepSelectFn fn) {
-      const auto* bytes = reinterpret_cast<const std::byte*>(slice.data());
       double best = 0.0;
       for (int rep = 0; rep < 5; ++rep) {
         const auto t0 = std::chrono::steady_clock::now();
         constexpr int kInner = 64;
         std::size_t sink = 0;
         for (int k = 0; k < kInner; ++k) {
-          sink += fn(bytes, sizeof(core::TimedDigest), slice.size(),
+          sink += fn(slice.data(), slice.size(),
                      0xABCD1234u + static_cast<std::uint32_t>(k), 1u << 31,
                      idx.data());
         }

@@ -279,54 +279,52 @@ void MonitoringCache::observe_batch_impl(std::span<const net::Packet> packets,
     engine_.decide_batch(p, known_cur, m, dec_cur);
 
     if (staged) {
-      const core::TimedDigest* buf = state_.buf_arena.data();
-      const core::TimedDigest* ring = state_.ring_arena.data();
+      const net::PacketDigest* ids = state_.log_ids.data();
+      const std::int64_t* times = state_.log_times.data();
       const std::int64_t max_age_ns =
           state_.params.marker_max_age.nanoseconds();
       const std::uint32_t marker_thr = state_.params.marker_threshold;
       for (std::size_t j = 0; j < m; ++j) {
         const std::size_t i = known_cur[j];
         const core::PathSlot& sl = slots[path_cur[i]];
-        if (sl.warm.buf_cap != 0) {
-          __builtin_prefetch(buf + sl.warm.buf_begin + sl.hot.buf_size, 1);
-          // Slice head: the time-keyed marker rule reads buf[0] every
-          // packet, and sweeps walk the slice from the front.
-          __builtin_prefetch(buf + sl.warm.buf_begin, 0);
-          // Sweep-imminent: this packet sweeps the whole slice when its
-          // digest already decided it is a marker (dec_cur is computed a
-          // chunk ahead of the kernel pass), or when even the NEWEST
-          // buffered record (stamped last_at_ns or later) has outlived
-          // marker_max_age — pull in the middle lines the two end
-          // prefetches above don't cover, so the 8-wide sweep kernel
-          // streams warm lines.
-          if (sl.hot.buf_size > 8) {
-            bool sweeps = dec_cur[j].marker_value > marker_thr;
-            if (!sweeps && max_age_ns > 0) {
-              const std::int64_t now_ns =
-                  (use_origin_time ? p[i].origin_time : when[base + i])
-                      .nanoseconds();
-              sweeps = now_ns - sl.hot.last_at_ns >= max_age_ns;
-            }
-            if (sweeps) {
-              constexpr std::size_t kPerLine =
-                  64 / sizeof(core::TimedDigest);
-              for (std::size_t r = kPerLine; r < sl.hot.buf_size;
-                   r += kPerLine) {
-                __builtin_prefetch(buf + sl.warm.buf_begin + r, 0);
-              }
+        if (sl.warm.log_cap == 0) continue;
+        // The log's append line: the packet's one record lands here.
+        const std::size_t end = sl.warm.log_begin + sl.hot.log_size;
+        __builtin_prefetch(ids + end, 1);
+        __builtin_prefetch(times + end, 1);
+        // J-window head: the eviction loop reads the oldest window time,
+        // a window's worth of records behind the append line.
+        if (sl.hot.ring_size != 0) {
+          __builtin_prefetch(times + end - sl.hot.ring_size, 0);
+        }
+        if (sl.hot.buf_size == 0) continue;
+        // Temp-buffer head: the time-keyed marker rule reads the oldest
+        // buffered time every packet, and sweeps walk the digests from
+        // there.
+        const std::size_t head = end - sl.hot.buf_size;
+        if (max_age_ns > 0) __builtin_prefetch(times + head, 0);
+        __builtin_prefetch(ids + head, 0);
+        // Sweep-imminent: this packet sweeps the whole buffer when its
+        // digest already decided it is a marker (dec_cur is computed a
+        // chunk ahead of the kernel pass), or when even the NEWEST
+        // buffered record (stamped last_at_ns or later) has outlived
+        // marker_max_age — pull in the digest lines between head and
+        // append line, so the 8-wide sweep kernel streams warm lines.
+        constexpr std::size_t kPerLine = 64 / sizeof(net::PacketDigest);
+        if (sl.hot.buf_size > kPerLine) {
+          bool sweeps = dec_cur[j].marker_value > marker_thr;
+          if (!sweeps && max_age_ns > 0) {
+            const std::int64_t now_ns =
+                (use_origin_time ? p[i].origin_time : when[base + i])
+                    .nanoseconds();
+            sweeps = now_ns - sl.hot.last_at_ns >= max_age_ns;
+          }
+          if (sweeps) {
+            for (std::size_t r = kPerLine; r < sl.hot.buf_size;
+                 r += kPerLine) {
+              __builtin_prefetch(ids + head + r, 0);
             }
           }
-        }
-        if (sl.warm.ring_cap != 0) {
-          const std::uint32_t mask = sl.warm.ring_cap - 1;
-          __builtin_prefetch(
-              ring + sl.warm.ring_begin +
-                  ((sl.hot.ring_head + sl.hot.ring_size) & mask),
-              1);
-          // Ring head: the J-window eviction loop reads the oldest entry,
-          // which sits a window's worth of records behind the append line.
-          __builtin_prefetch(
-              ring + sl.warm.ring_begin + (sl.hot.ring_head & mask), 0);
         }
       }
     }
@@ -490,6 +488,10 @@ std::size_t MonitoringCache::modeled_cache_bytes() const noexcept {
 
 std::size_t MonitoringCache::modeled_temp_buffer_bytes() const noexcept {
   return state_.buffered_records() * kTempRecordBytes;
+}
+
+std::size_t MonitoringCache::log_records() const noexcept {
+  return state_.log_records();
 }
 
 std::size_t MonitoringCache::temp_buffer_peak_records() const noexcept {

@@ -199,9 +199,9 @@ struct LifecycleConfig {
   /// above capacity could never fire.
   double compact_garbage_fraction = 0.5;
   /// Live-capacity decay (core::path_decay): halve a live path's
-  /// temp-buffer / J-ring slice once its occupancy has stayed below a
+  /// observation-log slice once its retained records have stayed below a
   /// quarter of capacity for this many consecutive lifecycle passes,
-  /// flooring at the initial slice sizes.  The released half is arena
+  /// flooring at the initial slice size.  The released half is arena
   /// garbage for the same pass's compaction check — a traffic spike's
   /// capacity ratchet decays back instead of pinning the memory plateau
   /// at the spike level.  0 disables (the default).
@@ -349,6 +349,14 @@ class MonitoringCache {
   [[nodiscard]] std::size_t modeled_cache_bytes() const noexcept;
   /// Modeled temp-buffer footprint right now: buffered records x 7 B.
   [[nodiscard]] std::size_t modeled_temp_buffer_bytes() const noexcept;
+  /// Observation-log records the kernels still need right now, across all
+  /// paths (core::PathStateSoA::log_records): the buffered volume the data
+  /// plane streams, each record held once at log_bytes_per_record().
+  [[nodiscard]] std::size_t log_records() const noexcept;
+  /// Bytes one log record occupies (digest + time, structure-of-arrays).
+  [[nodiscard]] static constexpr std::size_t log_bytes_per_record() noexcept {
+    return core::kLogRecordBytes;
+  }
   /// High-water mark of the temp buffer across all paths (records).
   [[nodiscard]] std::size_t temp_buffer_peak_records() const noexcept;
   /// Largest undrained-sample backlog any single path has reached

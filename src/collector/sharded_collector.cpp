@@ -464,6 +464,17 @@ std::size_t ShardedCollector::arena_garbage_bytes() const {
   return total;
 }
 
+std::size_t ShardedCollector::log_records() const {
+  if (running_) {
+    throw std::logic_error("ShardedCollector: log_records while workers run");
+  }
+  std::size_t total = 0;
+  for (const Shard& s : shards_) {
+    if (s.cache) total += s.cache->log_records();
+  }
+  return total;
+}
+
 DataPlaneOps ShardedCollector::ops() const {
   if (running_) {
     throw std::logic_error("ShardedCollector: ops() while workers run");

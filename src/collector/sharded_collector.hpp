@@ -206,6 +206,12 @@ class ShardedCollector {
   [[nodiscard]] std::size_t arena_bytes() const;
   [[nodiscard]] std::size_t arena_live_bytes() const;
   [[nodiscard]] std::size_t arena_garbage_bytes() const;
+  /// Summed observation-log records the shard caches still need
+  /// (MonitoringCache::log_records; workers must be stopped).
+  [[nodiscard]] std::size_t log_records() const;
+  [[nodiscard]] static constexpr std::size_t log_bytes_per_record() noexcept {
+    return MonitoringCache::log_bytes_per_record();
+  }
 
   // --- stats (workers must be stopped, like drain) -----------------------
 

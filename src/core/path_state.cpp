@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <stdexcept>
-#include <string>
 
 #include "net/sample_batch.hpp"
 #include "net/simd_dispatch.hpp"
@@ -12,31 +12,15 @@
 namespace vpm::core {
 namespace {
 
-/// First temp-buffer slice allocated to a path (records).  Deliberately
-/// small: a 100k-path cache must not pre-pay per-path arena space for
-/// paths that may never see traffic; busy paths double their slice on
-/// demand (amortised O(1) per record).
-constexpr std::uint32_t kBufInitialCap = 16;
-/// First J-ring slice (records, power of two).
-constexpr std::uint32_t kRingInitialCap = 8;
+/// First log slice allocated to a path (records, power of two).
+/// Deliberately small: a 100k-path cache must not pre-pay per-path arena
+/// space for paths that may never see traffic; busy paths double their
+/// slice on demand (amortised O(1) per record).
+constexpr std::uint32_t kLogInitialCap = 16;
 /// Emitted-sample capacity floor for path_decay (records) — small enough
 /// that a quiet path pins almost nothing, large enough that a typical
 /// reporting round (a handful of samples + markers) never reallocates.
 constexpr std::size_t kEmittedDecayFloor = 16;
-
-// The batch kernels walk buffered/ring records as raw strided bytes:
-// uint32 digest in the first four bytes, int64 nanosecond timestamp at
-// byte offset 8 (qword-aligned for the AVX2 time gathers).
-static_assert(sizeof(TimedDigest) == 16);
-static_assert(alignof(TimedDigest) == 8);
-static_assert(std::is_trivially_copyable_v<TimedDigest>);
-static_assert(offsetof(TimedDigest, id) == 0);
-static_assert(offsetof(TimedDigest, time) == 8);
-constexpr std::size_t kTimedDigestTimeOff = 8;
-
-inline const std::byte* bytes_of(const TimedDigest* records) noexcept {
-  return reinterpret_cast<const std::byte*>(records);
-}
 
 /// True when the AVX2 kernels should run: the dispatch shim's active tier
 /// (force hook -> VPM_SIMD -> cpuid) resolved to kAvx2 AND this binary
@@ -46,80 +30,143 @@ inline bool avx2_kernels_active() noexcept {
   return net::simd::active_tier() == net::simd::Tier::kAvx2;
 }
 
+/// Records the kernels still read: the temp buffer and the J window are
+/// both log suffixes, and every pending cut lies inside the J window (a
+/// cut packet leaves the window only at a packet more than J after it,
+/// which closes that cut's AggTrans window first).
+inline std::uint32_t log_retained(const PathHot& hot) noexcept {
+  return std::max(hot.buf_size, hot.ring_size);
+}
+
 /// Slice offsets and capacities are stored as 32-bit record indices
-/// (PathWarm).  An arena past 2^32 records (~69 GB) would silently wrap
-/// an offset into another path's live slice, so growth fails loud instead
-/// — the ROADMAP compaction follow-on is the real fix for runs that get
-/// near this.  Doubling is computed in 64 bits so a 2^31-capacity slice
-/// cannot wrap new_cap to 0 and slip past the check.
-void check_arena_offset(std::size_t begin, std::uint64_t new_cap,
-                        const char* which) {
+/// (PathWarm).  An arena past 2^32 records would silently wrap an offset
+/// into another path's live slice, so growth fails loud instead.
+/// Doubling is computed in 64 bits so a 2^31-capacity slice cannot wrap
+/// new_cap to 0 and slip past the check.
+void check_arena_offset(std::size_t begin, std::uint64_t new_cap) {
   if (begin + new_cap > 0xFFFFFFFFull) {
-    throw std::length_error(std::string("PathStateSoA: ") + which +
-                            " arena exceeds 32-bit slice addressing");
+    throw std::length_error(
+        "PathStateSoA: observation-log arena exceeds 32-bit slice "
+        "addressing");
   }
 }
 
-/// Relocate a path's temp-buffer slice to the arena tail with doubled
-/// capacity.  The old slice becomes garbage; doubling bounds total garbage
-/// below total live capacity.
-void grow_buffer(PathStateSoA& s, std::size_t path) {
+/// Move path `path`'s retained log suffix to `dst_ids`/`dst_times` (its
+/// own slice front, a new slice, or a compacted arena) and shift its
+/// pending cut indexes with the records.  Records before the suffix are
+/// dead: no view and no pending window reads them.  The caller points
+/// warm.log_begin at the destination.
+void retain_suffix(PathStateSoA& s, std::size_t path,
+                   net::PacketDigest* dst_ids, std::int64_t* dst_times) {
   PathSlot& slot = s.slots[path];
-  const std::uint32_t live = slot.hot.buf_size;
-  const std::uint64_t new_cap =
-      slot.warm.buf_cap == 0
-          ? kBufInitialCap
-          : static_cast<std::uint64_t>(slot.warm.buf_cap) * 2;
-  const std::size_t begin = s.buf_arena.size();
-  check_arena_offset(begin, new_cap, "temp-buffer");
-  s.buf_arena.resize(begin + new_cap);
-  std::copy_n(s.buf_arena.begin() + slot.warm.buf_begin, live,
-              s.buf_arena.begin() + static_cast<std::ptrdiff_t>(begin));
-  slot.warm.buf_begin = static_cast<std::uint32_t>(begin);
-  slot.warm.buf_cap = static_cast<std::uint32_t>(new_cap);
+  const std::uint32_t keep = log_retained(slot.hot);
+  const std::uint32_t drop = slot.hot.log_size - keep;
+  const std::size_t src = slot.warm.log_begin + drop;
+  if (keep != 0 && dst_ids != s.log_ids.data() + src) {
+    std::memmove(dst_ids, s.log_ids.data() + src,
+                 keep * sizeof(net::PacketDigest));
+    std::memmove(dst_times, s.log_times.data() + src,
+                 keep * sizeof(std::int64_t));
+  }
+  if (slot.warm.pend_count != 0) {
+    for (PendingAggregate& pend : s.pending[path]) pend.cut -= drop;
+  }
+  slot.hot.log_size = keep;
 }
 
-/// Relocate a path's J-ring slice to the arena tail with doubled capacity,
-/// linearised (entries move to [0, size), head resets to 0) — the SoA
-/// version of the pre-refactor Aggregator::ring_grow.
-void grow_ring(PathStateSoA& s, std::size_t path) {
+/// Slide the retained suffix to the front of the path's own slice.
+void slide_to_front(PathStateSoA& s, std::size_t path) {
+  const std::size_t b = s.slots[path].warm.log_begin;
+  retain_suffix(s, path, s.log_ids.data() + b, s.log_times.data() + b);
+}
+
+/// Make room for one record in a full (or absent) slice: slide the
+/// retained suffix to the front when it fills at most half the slice,
+/// otherwise relocate to the arena tail at double capacity.  The old slice
+/// of a relocation becomes garbage; doubling bounds total garbage below
+/// total live capacity, and a slide leaves at least half the slice free,
+/// so both cost amortised O(1) per record.
+void make_room(PathStateSoA& s, std::size_t path) {
   PathSlot& slot = s.slots[path];
+  const std::uint32_t keep = log_retained(slot.hot);
+  if (slot.warm.log_cap != 0 &&
+      std::uint64_t{keep} * 2 <= slot.warm.log_cap) {
+    slide_to_front(s, path);
+    return;
+  }
   const std::uint64_t new_cap =
-      slot.warm.ring_cap == 0
-          ? kRingInitialCap
-          : static_cast<std::uint64_t>(slot.warm.ring_cap) * 2;
-  const std::size_t begin = s.ring_arena.size();
-  check_arena_offset(begin, new_cap, "J-ring");
-  s.ring_arena.resize(begin + new_cap);
-  if (slot.warm.ring_cap != 0) {
-    const std::uint32_t mask = slot.warm.ring_cap - 1;
-    for (std::uint32_t i = 0; i < slot.hot.ring_size; ++i) {
-      s.ring_arena[begin + i] =
-          s.ring_arena[slot.warm.ring_begin +
-                       ((slot.hot.ring_head + i) & mask)];
+      slot.warm.log_cap == 0
+          ? kLogInitialCap
+          : static_cast<std::uint64_t>(slot.warm.log_cap) * 2;
+  const std::size_t begin = s.log_ids.size();
+  check_arena_offset(begin, new_cap);
+  s.log_ids.resize(begin + new_cap);
+  s.log_times.resize(begin + new_cap);
+  retain_suffix(s, path, s.log_ids.data() + begin,
+                s.log_times.data() + begin);
+  slot.warm.log_begin = static_cast<std::uint32_t>(begin);
+  slot.warm.log_cap = static_cast<std::uint32_t>(new_cap);
+}
+
+/// Write the packet's one log record and extend the views that cover it:
+/// the temp buffer when the sampler buffered it, the J window when the
+/// aggregator keeps one (then evicting window entries older than J).  A
+/// record no view covers (a marker with J == 0, any packet of an
+/// aggregator block with J == 0) is not written at all.
+inline void log_append(PathStateSoA& s, std::size_t path,
+                       net::PacketDigest id, std::int64_t when_ns,
+                       bool buffered, bool windowed) {
+  if (!buffered && !windowed) return;
+  PathSlot& slot = s.slots[path];
+  if (slot.hot.log_size == slot.warm.log_cap) make_room(s, path);
+  const std::size_t at = slot.warm.log_begin + slot.hot.log_size;
+  s.log_ids[at] = id;
+  s.log_times[at] = when_ns;
+  ++slot.hot.log_size;
+  if (buffered) ++slot.hot.buf_size;
+  if (windowed) {
+    ++slot.hot.ring_size;
+    // Evict entries older than J from the window's head — a sliding
+    // window over observations (the new record itself never qualifies).
+    const std::int64_t* end = s.log_times.data() + at + 1;
+    const std::int64_t j_ns = s.params.j_window.nanoseconds();
+    while (slot.hot.ring_size != 0 &&
+           end[-static_cast<std::ptrdiff_t>(slot.hot.ring_size)] + j_ns <
+               when_ns) {
+      --slot.hot.ring_size;
+    }
+    if (slot.hot.ring_size > slot.warm.window_peak) {
+      slot.warm.window_peak = slot.hot.ring_size;
     }
   }
-  slot.warm.ring_begin = static_cast<std::uint32_t>(begin);
-  slot.warm.ring_cap = static_cast<std::uint32_t>(new_cap);
-  slot.hot.ring_head = 0;
+}
+
+/// Close a pending aggregate's AggTrans window: `after` is the log run
+/// from its cut packet to the current end (every packet observed since
+/// the cut, the cut packet included).
+AggregateData close_window(PathStateSoA& s, std::size_t path,
+                           PendingAggregate&& pend) {
+  const PathSlot& slot = s.slots[path];
+  const net::PacketDigest* ids = s.log_ids.data() + slot.warm.log_begin;
+  pend.data.trans.after.assign(ids + pend.cut, ids + slot.hot.log_size);
+  return std::move(pend.data);
 }
 
 /// Move pending aggregates whose AggTrans window is complete (now is J
-/// past their boundary) to the closed list, preserving relative order in
-/// both groups (the pre-refactor stable_partition semantics).
+/// past their boundary, i.e. boundary < cutoff = now - J) to the closed
+/// list, preserving relative order in both groups (the pre-refactor
+/// stable_partition semantics), and refresh the warm-line gate with the
+/// survivors' earliest boundary.
 ///
-/// The keep decision (`boundary + J >= now`, computed as
-/// `boundary >= now - J` so both tiers share one predicate) runs through
-/// the branchless time-mask kernel in blocks; the partition then walks
-/// the mask bits.  Moves only ever go from i down to keep <= i, so
-/// masking a block before moving within it is safe — sources ahead of the
-/// cursor are untouched.
-void finalize_due(PathStateSoA& s, std::size_t path, net::Timestamp now) {
+/// The keep decision (`boundary >= cutoff`) runs through the branchless
+/// time-mask kernel in blocks; the partition then walks the mask bits.
+/// Moves only ever go from i down to keep <= i, so masking a block before
+/// moving within it is safe — sources ahead of the cursor are untouched.
+void finalize_due(PathStateSoA& s, std::size_t path, std::int64_t cutoff) {
+  ++s.finalize_passes;
   auto& pending = s.pending[path];
   auto& closed = s.closed[path];
   const std::size_t n = pending.size();
-  const std::int64_t cutoff =
-      now.nanoseconds() - s.params.j_window.nanoseconds();
   static_assert(sizeof(PendingAggregate) % 8 == 0);
   const std::size_t stride = sizeof(PendingAggregate);
   // offsetof on a type with vector members is conditionally supported, so
@@ -139,6 +186,7 @@ void finalize_due(PathStateSoA& s, std::size_t path, net::Timestamp now) {
   constexpr std::size_t kBlock = 512;  // 8 mask words on the stack
   std::uint64_t mask[kBlock / 64];
   std::size_t keep = 0;
+  std::int64_t earliest = INT64_MAX;
   for (std::size_t b = 0; b < n; b += kBlock) {
     const std::size_t bn = std::min(kBlock, n - b);
     if (use_avx2) {
@@ -150,123 +198,133 @@ void finalize_due(PathStateSoA& s, std::size_t path, net::Timestamp now) {
     for (std::size_t j = 0; j < bn; ++j) {
       const std::size_t i = b + j;
       if ((mask[j >> 6] >> (j & 63)) & 1u) {
+        earliest = std::min(earliest, pending[i].boundary.nanoseconds());
         if (keep != i) pending[keep] = std::move(pending[i]);
         ++keep;
       } else {
-        closed.push_back(std::move(pending[i].data));
+        closed.push_back(close_window(s, path, std::move(pending[i])));
       }
     }
   }
   pending.resize(keep);
-  s.slots[path].warm.pend_count = static_cast<std::uint32_t>(keep);
+  PathWarm& warm = s.slots[path].warm;
+  warm.pend_count = static_cast<std::uint32_t>(keep);
+  warm.earliest_boundary_ns = earliest;
 }
 
-}  // namespace
-
-std::size_t path_observe_sampler(PathStateSoA& s, std::size_t path,
-                                 const net::PacketDecisions& d,
-                                 net::Timestamp when) {
+/// Algorithm 1 (DelaySample) per-packet decision: returns true when the
+/// packet is a marker, after sweeping the temp buffer (the log's last
+/// buf_size records, which do not include this packet yet) into emitted
+/// samples.  `swept` receives the number of records evaluated.
+bool sampler_step(PathStateSoA& s, std::size_t path,
+                  const net::PacketDecisions& d, net::Timestamp when,
+                  std::size_t& swept) {
   PathSlot& slot = s.slots[path];
+  const std::size_t buf_at =
+      slot.warm.log_begin + slot.hot.log_size - slot.hot.buf_size;
 
   // Time-keyed marker rule: when enabled, a packet arriving while the
-  // OLDEST buffered record (always buf[0] — sweeps empty the buffer, so
-  // records sit in arrival order) has aged past marker_max_age acts as a
-  // forced marker.  This bounds the per-path temp buffer by time
-  // (~rate x max_age records) instead of Algorithm 1's ~1/marker_rate
-  // expectation, which a slow path can exceed without bound.
+  // OLDEST buffered record (the buffer's first log record — sweeps empty
+  // the buffer, so records sit in arrival order) has aged past
+  // marker_max_age acts as a forced marker.  This bounds the per-path
+  // temp buffer by time (~rate x max_age records) instead of Algorithm
+  // 1's ~1/marker_rate expectation, which a slow path can exceed without
+  // bound.
+  const std::int64_t max_age_ns = s.params.marker_max_age.nanoseconds();
   const bool forced_marker =
-      s.params.marker_max_age > net::Duration{0} && slot.hot.buf_size != 0 &&
-      when - s.buf_arena[slot.warm.buf_begin].time >= s.params.marker_max_age;
+      max_age_ns > 0 && slot.hot.buf_size != 0 &&
+      when.nanoseconds() - s.log_times[buf_at] >= max_age_ns;
 
-  if (forced_marker || d.marker_value > s.params.marker_threshold) {
-    // Algorithm 1, lines 1-6: the marker decides the fate of everything
-    // buffered since the previous marker.  The sample_value evaluations
-    // run through the sweep-select kernel (8-wide on the AVX2 tier) in
-    // chunks; survivors append as one bulk write per chunk instead of
-    // per-record push_backs.
-    PathStats& st = s.stats[path];
-    ++st.markers;
-    const std::size_t swept = slot.hot.buf_size;
-    st.swept += swept;
-    st.buffer_peak = std::max<std::uint64_t>(st.buffer_peak, swept);
-    auto& emitted = s.emitted[path];
-    if (swept != 0) {
-      static const net::detail::SweepSelectFn avx2 =
-          net::detail::sweep_select_avx2();
-      const bool use_avx2 = avx2 != nullptr && avx2_kernels_active();
-      (use_avx2 ? s.sweep_kernels.avx2 : s.sweep_kernels.scalar) += 1;
-      const TimedDigest* buf = s.buf_arena.data() + slot.warm.buf_begin;
-      constexpr std::size_t kSweepChunk = 512;
-      std::uint32_t idx[kSweepChunk];
-      for (std::size_t chunk = 0; chunk < swept; chunk += kSweepChunk) {
-        const std::size_t cn = std::min(kSweepChunk, swept - chunk);
-        const std::size_t m =
-            use_avx2 ? avx2(bytes_of(buf + chunk), sizeof(TimedDigest), cn,
-                            d.id, s.params.sample_threshold, idx)
-                     : net::detail::sweep_select_scalar(
-                           bytes_of(buf + chunk), sizeof(TimedDigest), cn,
-                           d.id, s.params.sample_threshold, idx);
-        const std::size_t old = emitted.size();
-        emitted.resize(old + m);
-        SampleRecord* dst = emitted.data() + old;
-        for (std::size_t j = 0; j < m; ++j) {
-          const TimedDigest& r = buf[chunk + idx[j]];
-          dst[j] = SampleRecord{
-              .pkt_id = r.id, .time = r.time, .is_marker = false};
-        }
-      }
-      slot.hot.buf_size = 0;
-    }
-    emitted.push_back(
-        SampleRecord{.pkt_id = d.id, .time = when, .is_marker = true});
-    st.emitted_peak = std::max<std::uint64_t>(st.emitted_peak,
-                                              emitted.size());
-    return swept;
+  swept = 0;
+  if (!forced_marker && d.marker_value <= s.params.marker_threshold) {
+    return false;
   }
-
-  // Algorithm 1, line 8: remember the packet until the next marker.
-  if (slot.hot.buf_size == slot.warm.buf_cap) grow_buffer(s, path);
-  s.buf_arena[slot.warm.buf_begin + slot.hot.buf_size] =
-      TimedDigest{d.id, when};
-  ++slot.hot.buf_size;
-  return 0;
+  // Algorithm 1, lines 1-6: the marker decides the fate of everything
+  // buffered since the previous marker.  The sample_value evaluations run
+  // through the sweep-select kernel (8-wide on the AVX2 tier) over the
+  // contiguous digest run in chunks; survivors append as one bulk write
+  // per chunk instead of per-record push_backs.
+  PathStats& st = s.stats[path];
+  ++st.markers;
+  swept = slot.hot.buf_size;
+  st.swept += swept;
+  st.buffer_peak = std::max<std::uint64_t>(st.buffer_peak, swept);
+  auto& emitted = s.emitted[path];
+  if (swept != 0) {
+    static const net::detail::SweepSelectFn avx2 =
+        net::detail::sweep_select_avx2();
+    const bool use_avx2 = avx2 != nullptr && avx2_kernels_active();
+    (use_avx2 ? s.sweep_kernels.avx2 : s.sweep_kernels.scalar) += 1;
+    const net::PacketDigest* ids = s.log_ids.data() + buf_at;
+    const std::int64_t* times = s.log_times.data() + buf_at;
+    constexpr std::size_t kSweepChunk = 512;
+    std::uint32_t idx[kSweepChunk];
+    for (std::size_t chunk = 0; chunk < swept; chunk += kSweepChunk) {
+      const std::size_t cn = std::min(kSweepChunk, swept - chunk);
+      const std::size_t m =
+          use_avx2 ? avx2(ids + chunk, cn, d.id, s.params.sample_threshold,
+                          idx)
+                   : net::detail::sweep_select_scalar(
+                         ids + chunk, cn, d.id, s.params.sample_threshold,
+                         idx);
+      const std::size_t old = emitted.size();
+      emitted.resize(old + m);
+      SampleRecord* dst = emitted.data() + old;
+      for (std::size_t j = 0; j < m; ++j) {
+        const std::size_t r = chunk + idx[j];
+        dst[j] = SampleRecord{.pkt_id = ids[r],
+                              .time = net::Timestamp{times[r]},
+                              .is_marker = false};
+      }
+    }
+    slot.hot.buf_size = 0;
+  }
+  emitted.push_back(
+      SampleRecord{.pkt_id = d.id, .time = when, .is_marker = true});
+  st.emitted_peak = std::max<std::uint64_t>(st.emitted_peak, emitted.size());
+  return true;
 }
 
-void path_observe_aggregator(PathStateSoA& s, std::size_t path,
-                             const net::PacketDecisions& d,
-                             net::Timestamp when) {
+/// Algorithm 2 (Partition + AggTrans) per-packet step, up to the log
+/// write: close due AggTrans windows, handle a cut, extend the open
+/// aggregate.  Returns true when the path keeps a J window (the caller
+/// then adds the packet's record to it).
+bool aggregator_step(PathStateSoA& s, std::size_t path,
+                     const net::PacketDecisions& d, net::Timestamp when) {
   PathSlot& slot = s.slots[path];
-  const bool has_j = s.params.j_window > net::Duration{0};
+  const std::int64_t when_ns = when.nanoseconds();
+  const std::int64_t j_ns = s.params.j_window.nanoseconds();
+  const bool has_j = j_ns > 0;
   const bool is_cut =
       slot.hot.agg_count != 0 && d.cut_value > s.params.cut_threshold;
 
-  if (slot.warm.pend_count != 0) finalize_due(s, path, when);
+  // The finalize gate: a window closes at the first packet more than J
+  // past its boundary, so nothing is due before the earliest one is.
+  const std::int64_t cutoff = when_ns - j_ns;
+  if (slot.warm.earliest_boundary_ns < cutoff) finalize_due(s, path, cutoff);
 
   if (is_cut) {
     // Algorithm 2, lines 2-5: close the current receipt; p starts the next
     // aggregate.  The closed receipt's AggTrans.before is everything
-    // observed within J before the cut.
+    // observed within J before the cut; its AggTrans.after starts with p,
+    // whose record lands at the log's current end.
     ++s.stats[path].cuts;
     if (has_j) {
       PendingAggregate pend;
       pend.boundary = when;
+      pend.cut = slot.hot.log_size;
       pend.data.agg =
           AggId{.first = slot.hot.agg_first, .last = slot.hot.agg_last};
       pend.data.packet_count = slot.hot.agg_count;
       pend.data.opened_at = net::Timestamp{slot.warm.opened_at_ns};
       pend.data.closed_at = net::Timestamp{slot.hot.last_at_ns};
-      // The J-ring occupies at most two linear segments; run the
-      // window-collect kernel (masked 8-wide time compares +
-      // compress-store on the AVX2 tier) over each.  The keep predicate
-      // is the scalar `r.time + J >= when` rearranged to
+      // The J window is the log's last ring_size records: one contiguous
+      // digest run and time run for the window-collect kernel (8-wide
+      // time compares + compress-store on the AVX2 tier).  The keep
+      // predicate is the scalar `r.time + J >= when` rearranged to
       // `r.time >= when - J` so both tiers compare identically.
-      const TimedDigest* ring = s.ring_arena.data() + slot.warm.ring_begin;
-      const std::uint32_t mask = slot.warm.ring_cap - 1;  // ring_size > 0
-      const std::uint32_t head = slot.hot.ring_head & mask;
-      const std::uint32_t first =
-          std::min(slot.hot.ring_size, slot.warm.ring_cap - head);
-      const std::int64_t cutoff =
-          when.nanoseconds() - s.params.j_window.nanoseconds();
+      const std::size_t at =
+          slot.warm.log_begin + slot.hot.log_size - slot.hot.ring_size;
       static const net::detail::WindowCollectFn avx2 =
           net::detail::window_collect_avx2();
       const net::detail::WindowCollectFn collect =
@@ -275,17 +333,12 @@ void path_observe_aggregator(PathStateSoA& s, std::size_t path,
               : &net::detail::window_collect_scalar;
       auto& before = pend.data.trans.before;
       before.resize(slot.hot.ring_size);
-      std::size_t kept = collect(bytes_of(ring + head), sizeof(TimedDigest),
-                                 kTimedDigestTimeOff, first, cutoff,
-                                 before.data());
-      kept += collect(bytes_of(ring), sizeof(TimedDigest),
-                      kTimedDigestTimeOff, slot.hot.ring_size - first, cutoff,
-                      before.data() + kept);
-      before.resize(kept);
-      // The trailing window is roughly symmetric to the leading one.
-      pend.data.trans.after.reserve(pend.data.trans.before.size() + 1);
+      before.resize(collect(s.log_ids.data() + at, s.log_times.data() + at,
+                            slot.hot.ring_size, cutoff, before.data()));
       s.pending[path].push_back(std::move(pend));
       ++slot.warm.pend_count;
+      slot.warm.earliest_boundary_ns =
+          std::min(slot.warm.earliest_boundary_ns, when_ns);
     } else {
       // Basic §6.2 mode: no reorder window, close immediately.
       s.closed[path].push_back(AggregateData{
@@ -299,20 +352,12 @@ void path_observe_aggregator(PathStateSoA& s, std::size_t path,
     slot.hot.agg_count = 0;
   }
 
-  // The packet lands in every still-open AggTrans window (including, when
-  // it is a cut, the window of the boundary it just created).
-  if (slot.warm.pend_count != 0) {
-    for (PendingAggregate& pend : s.pending[path]) {
-      pend.data.trans.after.push_back(d.id);
-    }
-  }
-
   if (slot.hot.agg_count == 0) {
     slot.hot.agg_first = d.id;
     slot.hot.agg_last = d.id;
     slot.hot.agg_count = 1;
-    slot.warm.opened_at_ns = when.nanoseconds();
-    slot.hot.last_at_ns = when.nanoseconds();
+    slot.warm.opened_at_ns = when_ns;
+    slot.hot.last_at_ns = when_ns;
   } else {
     // Algorithm 2, lines 5-6 run for every packet: LastPacketID <- p.
     // The count saturates rather than wrap: agg_count == 0 encodes "no
@@ -323,26 +368,37 @@ void path_observe_aggregator(PathStateSoA& s, std::size_t path,
     // correct and reports "at least 2^32-1".)
     slot.hot.agg_last = d.id;
     if (slot.hot.agg_count != 0xFFFFFFFFu) ++slot.hot.agg_count;
-    slot.hot.last_at_ns = when.nanoseconds();
+    slot.hot.last_at_ns = when_ns;
   }
+  return has_j;
+}
 
-  if (has_j) {
-    if (slot.hot.ring_size == slot.warm.ring_cap) grow_ring(s, path);
-    const std::uint32_t mask = slot.warm.ring_cap - 1;
-    TimedDigest* ring = s.ring_arena.data() + slot.warm.ring_begin;
-    ring[(slot.hot.ring_head + slot.hot.ring_size) & mask] =
-        TimedDigest{d.id, when};
-    ++slot.hot.ring_size;
-    // Evict entries older than J — a sliding window over observations.
-    while (slot.hot.ring_size != 0 &&
-           ring[slot.hot.ring_head & mask].time + s.params.j_window < when) {
-      slot.hot.ring_head = (slot.hot.ring_head + 1) & mask;
-      --slot.hot.ring_size;
-    }
-    if (slot.hot.ring_size > slot.warm.window_peak) {
-      slot.warm.window_peak = slot.hot.ring_size;
-    }
-  }
+}  // namespace
+
+std::size_t path_observe_sampler(PathStateSoA& s, std::size_t path,
+                                 const net::PacketDecisions& d,
+                                 net::Timestamp when) {
+  std::size_t swept;
+  const bool marker = sampler_step(s, path, d, when, swept);
+  // Algorithm 1, line 8: remember a non-marker until the next marker.
+  log_append(s, path, d.id, when.nanoseconds(), !marker, false);
+  return swept;
+}
+
+void path_observe_aggregator(PathStateSoA& s, std::size_t path,
+                             const net::PacketDecisions& d,
+                             net::Timestamp when) {
+  const bool windowed = aggregator_step(s, path, d, when);
+  log_append(s, path, d.id, when.nanoseconds(), false, windowed);
+}
+
+std::size_t path_observe(PathStateSoA& s, std::size_t path,
+                         const net::PacketDecisions& d, net::Timestamp when) {
+  std::size_t swept;
+  const bool marker = sampler_step(s, path, d, when, swept);
+  const bool windowed = aggregator_step(s, path, d, when);
+  log_append(s, path, d.id, when.nanoseconds(), !marker, windowed);
+  return swept;
 }
 
 std::vector<SampleRecord> path_take_samples(PathStateSoA& s,
@@ -371,11 +427,12 @@ std::optional<AggregateData> path_flush_open(PathStateSoA& s,
   auto& pending = s.pending[path];
   auto& closed = s.closed[path];
   for (PendingAggregate& pend : pending) {
-    closed.push_back(std::move(pend.data));
+    closed.push_back(close_window(s, path, std::move(pend)));
   }
   pending.clear();
   PathSlot& slot = s.slots[path];
   slot.warm.pend_count = 0;
+  slot.warm.earliest_boundary_ns = INT64_MAX;
 
   if (slot.hot.agg_count == 0) return std::nullopt;
   AggregateData d;
@@ -393,7 +450,7 @@ std::size_t path_evict(PathStateSoA& s, std::size_t path) {
   s.stats[path].dropped_buffered += dropped;
   slot.hot = PathHot{};
   // Preserve the lifetime window_peak (a §7.1 reporting figure); reset the
-  // arena addressing so the path owns no slice.
+  // log addressing so the path owns no slice.
   const std::uint32_t peak = slot.warm.window_peak;
   slot.warm = PathWarm{};
   slot.warm.window_peak = peak;
@@ -408,41 +465,24 @@ std::size_t path_evict(PathStateSoA& s, std::size_t path) {
 std::size_t path_state_compact(PathStateSoA& s) {
   const std::size_t before = s.arena_bytes();
 
-  std::size_t buf_records = 0;
-  std::size_t ring_records = 0;
-  for (const PathSlot& slot : s.slots) {
-    buf_records += slot.warm.buf_cap;
-    ring_records += slot.warm.ring_cap;
-  }
-  std::vector<TimedDigest> buf(buf_records);
-  std::vector<TimedDigest> ring(ring_records);
+  std::size_t records = 0;
+  for (const PathSlot& slot : s.slots) records += slot.warm.log_cap;
+  std::vector<net::PacketDigest> ids(records);
+  std::vector<std::int64_t> times(records);
 
-  std::size_t buf_at = 0;
-  std::size_t ring_at = 0;
-  for (PathSlot& slot : s.slots) {
-    if (slot.warm.buf_cap != 0) {
-      std::copy_n(s.buf_arena.begin() + slot.warm.buf_begin,
-                  slot.hot.buf_size,
-                  buf.begin() + static_cast<std::ptrdiff_t>(buf_at));
-      slot.warm.buf_begin = static_cast<std::uint32_t>(buf_at);
-      buf_at += slot.warm.buf_cap;
-    }
-    if (slot.warm.ring_cap != 0) {
-      // Linearise: entries move to [0, ring_size), head resets — the same
-      // transformation grow_ring applies, so this is receipt-invisible.
-      const std::uint32_t mask = slot.warm.ring_cap - 1;
-      for (std::uint32_t i = 0; i < slot.hot.ring_size; ++i) {
-        ring[ring_at + i] =
-            s.ring_arena[slot.warm.ring_begin +
-                         ((slot.hot.ring_head + i) & mask)];
-      }
-      slot.warm.ring_begin = static_cast<std::uint32_t>(ring_at);
-      slot.hot.ring_head = 0;
-      ring_at += slot.warm.ring_cap;
-    }
+  std::size_t at = 0;
+  for (std::size_t p = 0; p < s.slots.size(); ++p) {
+    PathWarm& warm = s.slots[p].warm;
+    if (warm.log_cap == 0) continue;
+    // The retained suffix moves to the new slice front — the same
+    // transformation a full slice's slide applies, so this is
+    // receipt-invisible.
+    retain_suffix(s, p, ids.data() + at, times.data() + at);
+    warm.log_begin = static_cast<std::uint32_t>(at);
+    at += warm.log_cap;
   }
-  s.buf_arena = std::move(buf);
-  s.ring_arena = std::move(ring);
+  s.log_ids = std::move(ids);
+  s.log_times = std::move(times);
   return before - s.arena_bytes();
 }
 
@@ -453,46 +493,21 @@ PathDecay path_decay(PathStateSoA& s, std::size_t path,
   PathSlot& slot = s.slots[path];
   PathStats& st = s.stats[path];
 
-  // Temp buffer: live records always occupy the slice front, so halving
-  // is pure bookkeeping — the tail half just stops being addressed.
-  if (slot.warm.buf_cap > kBufInitialCap &&
-      std::uint64_t{slot.hot.buf_size} * 4 < slot.warm.buf_cap) {
-    if (++st.buf_low_streak >= low_streak) {
-      const std::uint32_t released = slot.warm.buf_cap / 2;
-      slot.warm.buf_cap -= released;
-      st.buf_low_streak = 0;
+  // Log slice: a retained suffix below a quarter of the capacity fits the
+  // front half with room to spare.  Slide it there (pending cut indexes
+  // shift with it) and stop addressing the tail half.
+  if (slot.warm.log_cap > kLogInitialCap &&
+      std::uint64_t{log_retained(slot.hot)} * 4 < slot.warm.log_cap) {
+    if (++st.log_low_streak >= low_streak) {
+      slide_to_front(s, path);
+      const std::uint32_t released = slot.warm.log_cap / 2;
+      slot.warm.log_cap -= released;
+      st.log_low_streak = 0;
       ++out.halved_slices;
-      out.released_bytes += released * sizeof(TimedDigest);
+      out.released_bytes += released * kLogRecordBytes;
     }
   } else {
-    st.buf_low_streak = 0;
-  }
-
-  // J-ring: occupancy below a quarter means the survivors fit the front
-  // half with room to spare.  Linearise them there through a temp copy
-  // (a wrapped ring's masked source positions can collide with already-
-  // written destinations) — the same entries-to-front transformation
-  // grow_ring applies, so this is receipt-invisible.
-  if (slot.warm.ring_cap > kRingInitialCap &&
-      std::uint64_t{slot.hot.ring_size} * 4 < slot.warm.ring_cap) {
-    if (++st.ring_low_streak >= low_streak) {
-      const std::uint32_t mask = slot.warm.ring_cap - 1;
-      std::vector<TimedDigest> live(slot.hot.ring_size);
-      for (std::uint32_t i = 0; i < slot.hot.ring_size; ++i) {
-        live[i] = s.ring_arena[slot.warm.ring_begin +
-                               ((slot.hot.ring_head + i) & mask)];
-      }
-      std::copy(live.begin(), live.end(),
-                s.ring_arena.begin() + slot.warm.ring_begin);
-      const std::uint32_t released = slot.warm.ring_cap / 2;
-      slot.warm.ring_cap -= released;
-      slot.hot.ring_head = 0;
-      st.ring_low_streak = 0;
-      ++out.halved_slices;
-      out.released_bytes += released * sizeof(TimedDigest);
-    }
-  } else {
-    st.ring_low_streak = 0;
+    st.log_low_streak = 0;
   }
 
   // Emitted-sample capacity (retained across drains by path_take_samples):
@@ -535,21 +550,23 @@ std::vector<AggregateReceipt> path_collect_aggregates(PathStateSoA& s,
                                                       std::size_t path,
                                                       const net::PathId& id,
                                                       bool flush_open) {
-  auto stamp_one = [&id](const AggregateData& d) {
+  // Drained aggregates are consumed: their AggTrans windows (often
+  // thousands of ids) move into the receipts instead of being copied.
+  auto stamp_one = [&id](AggregateData&& d) {
     return AggregateReceipt{.path = id,
                             .agg = d.agg,
                             .packet_count = d.packet_count,
-                            .trans = d.trans,
+                            .trans = std::move(d.trans),
                             .opened_at = d.opened_at,
                             .closed_at = d.closed_at};
   };
   std::optional<AggregateData> last;
   if (flush_open) last = path_flush_open(s, path);
-  const std::vector<AggregateData> closed = path_take_closed(s, path);
+  std::vector<AggregateData> closed = path_take_closed(s, path);
   std::vector<AggregateReceipt> out;
   out.reserve(closed.size() + (last.has_value() ? 1 : 0));
-  for (const AggregateData& d : closed) out.push_back(stamp_one(d));
-  if (last.has_value()) out.push_back(stamp_one(*last));
+  for (AggregateData& d : closed) out.push_back(stamp_one(std::move(d)));
+  if (last.has_value()) out.push_back(stamp_one(std::move(*last)));
   return out;
 }
 

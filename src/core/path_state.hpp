@@ -9,20 +9,36 @@
 // else split out by access frequency:
 //
 //   hot   PathSlot[path].hot   (32 B)  open AggId + PktCnt + last-packet
-//                              time + temp-buffer size + J-ring head/size
-//   warm  PathSlot[path].warm  (32 B)  arena addressing (written only on
-//                              slice growth), the open aggregate's
-//                              opened_at, the pending-window count and the
-//                              J-ring high-water mark — co-located with
-//                              the hot record so the ENTIRE per-packet
+//                              time + log length + temp-buffer and
+//                              J-window lengths (both log suffixes)
+//   warm  PathSlot[path].warm  (32 B)  log addressing (written only on
+//                              slide/relocation), the open aggregate's
+//                              opened_at, the pending-window count, the
+//                              J-window high-water mark and the earliest
+//                              pending boundary — co-located with the hot
+//                              record so the ENTIRE per-packet
 //                              read-modify-write set is one 64-byte line
 //   stats PathStats[path]      §7.1 counters touched only at markers/cuts
-//   data  buf_arena/ring_arena per-path temp-buffer and J-ring slices in
-//                              two shared arenas (grow-by-relocation; a
-//                              path with no traffic owns no arena bytes)
+//   data  log_ids/log_times    one append-only observation log per path,
+//                              stored structure-of-arrays: a 4-byte digest
+//                              and an 8-byte time per record (12 B), in
+//                              slices of two parallel arenas that share
+//                              one offset and capacity (a path with no
+//                              traffic owns no arena bytes)
 //   cold  emitted/pending/closed  receipts awaiting a control-plane
 //                              drain, as per-path vectors (touched only at
 //                              markers, cuts and drains)
+//
+// Each packet is written to its path's log exactly once.  Everything the
+// kernels keep about past packets is a view of that log: the temp buffer
+// is its last buf_size records, the J window its last ring_size records,
+// and a pending aggregate's AggTrans.after is the run from its cut
+// packet's log index to the end (copied out once, when the window
+// closes).  A full slice whose retained suffix max(buf_size, ring_size) —
+// which always contains every pending cut — fills at most half of it
+// slides that suffix to the front; otherwise the slice relocates to the
+// arena tail at double capacity.  Either way pending cut indexes shift
+// with the records.
 //
 // The kernels below are the ONE implementation of the Algorithm 1/2
 // per-packet steps: DelaySampler and Aggregator wrap a 1-path block of
@@ -34,6 +50,7 @@
 #define VPM_CORE_PATH_STATE_HPP
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <type_traits>
@@ -67,46 +84,49 @@ struct PathHot {
   net::PacketDigest agg_first = 0;  ///< open AggId.first
   net::PacketDigest agg_last = 0;   ///< open AggId.last
   std::uint32_t agg_count = 0;      ///< open PktCnt; 0 == no open aggregate
-  std::uint32_t buf_size = 0;       ///< temp-buffer records awaiting a marker
-  std::uint32_t ring_head = 0;      ///< J-ring logical head (masked)
-  std::uint32_t ring_size = 0;      ///< J-ring occupancy
+  std::uint32_t buf_size = 0;       ///< temp buffer: last buf_size log records
+  std::uint32_t log_size = 0;       ///< records in the path's log slice
+  std::uint32_t ring_size = 0;      ///< J window: last ring_size log records
   std::int64_t last_at_ns = 0;      ///< open aggregate's last-packet time
 };
 static_assert(sizeof(PathHot) == 32,
               "PathHot must stay within the paper's ~20-32 B/path budget");
 static_assert(std::is_trivially_copyable_v<PathHot>);
 
-/// Arena addressing for one path's temp-buffer and J-ring slices, plus the
-/// rarely-written remainder of the per-packet state: the open aggregate's
-/// opened_at (written once per aggregate), the pending-AggTrans-window
-/// count (mirrors pending[path].size() so the fast path never reads the
-/// cold vector header) and the J-ring high-water mark.
+/// Log addressing for one path's slice, plus the rarely-written remainder
+/// of the per-packet state: the open aggregate's opened_at (written once
+/// per aggregate), the pending-AggTrans-window count (mirrors
+/// pending[path].size() so the fast path never reads the cold vector
+/// header), the J-window high-water mark and the earliest pending
+/// boundary (the finalize gate: no pending window can close before a
+/// packet arrives more than J after it).
 struct PathWarm {
-  std::uint32_t buf_begin = 0;  ///< offset into buf_arena
-  std::uint32_t buf_cap = 0;    ///< slice capacity (0 until first packet)
-  std::uint32_t ring_begin = 0; ///< offset into ring_arena
-  std::uint32_t ring_cap = 0;   ///< power of two (0 until first packet)
+  std::uint32_t log_begin = 0;  ///< slice offset into log_ids/log_times
+  std::uint32_t log_cap = 0;    ///< power of two >= 16 (0 until first record)
   std::int64_t opened_at_ns = 0;  ///< open aggregate's first-packet time
   std::uint32_t pend_count = 0; ///< == pending[path].size()
-  std::uint32_t window_peak = 0;  ///< J-ring high-water mark (records)
+  std::uint32_t window_peak = 0;  ///< J-window high-water mark (records)
+  /// Smallest pending boundary (ns); INT64_MAX while nothing is pending.
+  std::int64_t earliest_boundary_ns = INT64_MAX;
 };
 static_assert(sizeof(PathWarm) == 32);
 
 /// One path's per-packet working set: the hot record plus its warm
 /// addressing half, packed into a single 64-byte cache line — the 100k-path
 /// observe loop touches exactly one line of path state per packet (plus
-/// the path's arena slices).
+/// the path's log slice).
 struct alignas(64) PathSlot {
   PathHot hot;
   PathWarm warm;
 };
 static_assert(sizeof(PathSlot) == 64);
 
-/// One buffered <digest, time> record (§7.1's 7-byte PktID+Time entry).
-struct TimedDigest {
-  net::PacketDigest id = 0;
-  net::Timestamp time;
-};
+/// Bytes one observation-log record occupies: a 4-byte digest plus an
+/// 8-byte nanosecond time, held once however many views (temp buffer, J
+/// window, pending AggTrans.after) cover it.  §7.1 budgets ~7 B (PktID 4 B
+/// + Time 3 B) for a hardware temp-buffer entry.
+inline constexpr std::size_t kLogRecordBytes =
+    sizeof(net::PacketDigest) + sizeof(std::int64_t);
 
 /// Per-path statistics (the reporting surface of the pre-SoA
 /// DelaySampler/Aggregator accessors).  Touched only at markers and cuts,
@@ -130,11 +150,11 @@ struct PathStats {
   /// with capacity-retaining drains this bounds the per-path sample
   /// capacity a live path can pin (see emitted_peak_records).
   std::uint64_t emitted_peak = 0;
-  /// Consecutive lifecycle passes the temp buffer / J-ring spent below a
-  /// quarter of capacity — path_decay's trigger state, reset by any busy
-  /// pass and after each halving.  Touched only at lifecycle passes.
-  std::uint32_t buf_low_streak = 0;
-  std::uint32_t ring_low_streak = 0;
+  /// Consecutive lifecycle passes the log's retained suffix spent below a
+  /// quarter of the slice capacity — path_decay's trigger state, reset by
+  /// any busy pass and after each halving.  Touched only at lifecycle
+  /// passes.
+  std::uint32_t log_low_streak = 0;
   /// Same trigger state for the emitted-sample vector's retained capacity.
   std::uint32_t emitted_low_streak = 0;
 };
@@ -150,9 +170,12 @@ struct AggregateData {
 };
 
 /// A closed aggregate whose trailing AggTrans window is still filling.
+/// `data.trans.after` stays empty until the window closes: it is the log
+/// run [cut, log_size) at that moment.
 struct PendingAggregate {
   AggregateData data;
   net::Timestamp boundary;  ///< cut time; window completes at boundary+J
+  std::uint32_t cut = 0;    ///< slice-relative log index of the cut packet
 };
 
 /// The structure-of-arrays block the kernels operate on.  Members are
@@ -180,12 +203,16 @@ struct PathStateSoA {
   std::vector<PathSlot> slots;
   std::vector<PathStats> stats;
   SweepKernelCounters sweep_kernels;
-  /// Shared arenas holding every path's temp-buffer / J-ring slice.  A
-  /// slice that outgrows its capacity relocates to the arena tail
-  /// (doubling); the abandoned slice is bounded garbage — geometric
-  /// growth keeps total garbage below total live capacity.
-  std::vector<TimedDigest> buf_arena;
-  std::vector<TimedDigest> ring_arena;
+  /// finalize_due passes run (each closes at least one AggTrans window;
+  /// the warm-line gate keeps every other packet off the pending list).
+  std::uint64_t finalize_passes = 0;
+  /// The observation-log arenas, structure-of-arrays: record r of path p
+  /// is (log_ids[b + r], log_times[b + r]) with b = slots[p].warm.log_begin.
+  /// A slice that must grow relocates to the arena tail (doubling); the
+  /// abandoned slice is bounded garbage — geometric growth keeps total
+  /// garbage below total live capacity.
+  std::vector<net::PacketDigest> log_ids;
+  std::vector<std::int64_t> log_times;
   /// Cold receipt state, drained by the control plane.
   std::vector<std::vector<SampleRecord>> emitted;
   std::vector<std::vector<PendingAggregate>> pending;
@@ -203,20 +230,18 @@ struct PathStateSoA {
   [[nodiscard]] std::size_t slot_bytes() const noexcept {
     return slots.size() * sizeof(PathSlot);
   }
-  /// Resident arena bytes (temp buffers + J rings, including slack and
+  /// Resident arena bytes (every path's log slice, including slack and
   /// relocation garbage) — the software analogue of the §7.1 temp buffer.
   [[nodiscard]] std::size_t arena_bytes() const noexcept {
-    return (buf_arena.size() + ring_arena.size()) * sizeof(TimedDigest);
+    return log_ids.size() * sizeof(net::PacketDigest) +
+           log_times.size() * sizeof(std::int64_t);
   }
   /// Arena bytes addressed by some path's live slice (its reserved
   /// capacity) — what compaction retains.
   [[nodiscard]] std::size_t arena_live_bytes() const noexcept {
     std::size_t records = 0;
-    for (const PathSlot& s : slots) {
-      records += s.warm.buf_cap;
-      records += s.warm.ring_cap;
-    }
-    return records * sizeof(TimedDigest);
+    for (const PathSlot& s : slots) records += s.warm.log_cap;
+    return records * kLogRecordBytes;
   }
   /// Arena bytes no slice addresses any more (grow-by-relocation leftovers
   /// and evicted paths' slices) — what compaction reclaims.
@@ -227,6 +252,16 @@ struct PathStateSoA {
   [[nodiscard]] std::size_t buffered_records() const noexcept {
     std::size_t n = 0;
     for (const PathSlot& s : slots) n += s.hot.buf_size;
+    return n;
+  }
+  /// Log records the kernels still need, across all paths: each path's
+  /// retained suffix max(buf_size, ring_size) — the buffered volume the
+  /// data plane streams, held once at kLogRecordBytes per record.
+  [[nodiscard]] std::size_t log_records() const noexcept {
+    std::size_t n = 0;
+    for (const PathSlot& s : slots) {
+      n += std::max(s.hot.buf_size, s.hot.ring_size);
+    }
     return n;
   }
   /// Sum of per-path temp-buffer high-water marks.
@@ -264,20 +299,20 @@ struct PathStateSoA {
     return stats[path].swept + stats[path].markers +
            stats[path].dropped_buffered + slots[path].hot.buf_size;
   }
-  /// True if the path owns any resident monitoring state — arena slices,
+  /// True if the path owns any resident monitoring state — a log slice,
   /// an open aggregate, or undrained receipts.  (A path that never saw
   /// traffic, or was evicted and stayed idle, holds nothing.)
   [[nodiscard]] bool path_has_state(std::size_t path) const {
     const PathSlot& s = slots[path];
-    return s.warm.buf_cap != 0 || s.warm.ring_cap != 0 ||
-           s.hot.agg_count != 0 || s.warm.pend_count != 0 ||
+    return s.warm.log_cap != 0 || s.hot.agg_count != 0 ||
+           s.warm.pend_count != 0 ||
            !emitted[path].empty() || !closed[path].empty();
   }
 };
 
 // --- Epoch lifecycle (compaction + eviction) ------------------------------
 //
-// The arenas grow by slice relocation and, without intervention, never
+// The log arenas grow by slice relocation and, without intervention, never
 // shrink: garbage stays bounded below live capacity, but "live capacity"
 // includes every path that EVER saw traffic.  For month-long runs with a
 // churning path population the control plane retires state in two steps:
@@ -285,7 +320,7 @@ struct PathStateSoA {
 // the normal sink path first), then compact the arenas when relocation +
 // eviction garbage crosses a watermark.
 
-/// Release path `path`'s resident state: arena slices become garbage
+/// Release path `path`'s resident state: its log slice becomes garbage
 /// (reclaimed by the next compaction), the hot/warm records reset to the
 /// never-saw-traffic state, and the cold receipt vectors release their
 /// capacity.  Returns the number of temp-buffer records dropped undecided
@@ -298,33 +333,33 @@ struct PathStateSoA {
 /// seeing its first packet.
 std::size_t path_evict(PathStateSoA& s, std::size_t path);
 
-/// Rebuild both arenas tightly in path order, dropping all garbage while
-/// preserving each slice's reserved capacity (so growth stays amortised
-/// O(1)) and linearising rings (head -> 0, as slice growth already does).
-/// Receipt-invisible.  Returns the arena bytes reclaimed.
+/// Rebuild the log arenas tightly in path order, dropping all garbage
+/// while preserving each slice's reserved capacity (so growth stays
+/// amortised O(1)); each slice keeps only its retained suffix, slid to the
+/// front (as a full slice's slide does).  Receipt-invisible.  Returns the
+/// arena bytes reclaimed.
 std::size_t path_state_compact(PathStateSoA& s);
 
-/// What one path_decay call did.  Arena-slice and emitted-capacity decay
-/// report separately: released arena halves become garbage the next
-/// compaction reclaims and feed the arena accounting, while emitted
+/// What one path_decay call did.  Log-slice and emitted-capacity decay
+/// report separately: a released log half becomes garbage the next
+/// compaction reclaims and feeds the arena accounting, while emitted
 /// capacity is ordinary heap returned to the allocator immediately.
 struct PathDecay {
-  std::size_t halved_slices = 0;   ///< 0..2 (temp buffer and/or J-ring)
+  std::size_t halved_slices = 0;   ///< 0..1 (the path's log slice)
   std::size_t released_bytes = 0;  ///< live capacity turned to garbage
   std::size_t halved_emitted = 0;  ///< 0..1 (emitted-sample capacity)
   std::size_t released_emitted_bytes = 0;  ///< heap freed by that halving
 };
 
 /// Live-capacity decay — the shrink half of the grow-by-doubling slices.
-/// One lifecycle observation of `path`'s slice occupancy: a slice whose
-/// occupancy has stayed strictly below a QUARTER of its capacity for
-/// `low_streak` consecutive observations is halved — in place for the
-/// temp buffer (live records already sit at the slice front) and by
-/// linearising for the J-ring (entries move to the slice front, head
-/// resets, capacity stays a power of two) — flooring at the initial
-/// slice sizes.  The released half becomes arena garbage that the next
-/// path_state_compact reclaims, so a traffic spike's capacity ratchet
-/// decays back down instead of pinning arena_live_bytes at the spike
+/// One lifecycle observation of `path`'s log occupancy: a slice whose
+/// retained suffix max(buf_size, ring_size) has stayed strictly below a
+/// QUARTER of its capacity for `low_streak` consecutive observations is
+/// halved — the suffix slides to the slice front (pending cut indexes
+/// shift with it) and the capacity stays a power of two — flooring at
+/// the initial slice size.  The released half becomes arena garbage that
+/// the next path_state_compact reclaims, so a traffic spike's capacity
+/// ratchet decays back down instead of pinning arena_live_bytes at the spike
 /// level forever.  The emitted-sample vector's retained capacity (drains
 /// keep it; see path_take_samples) decays under the same
 /// quarter-occupancy/streak rule, flooring at a small initial capacity.
@@ -354,15 +389,10 @@ void path_observe_aggregator(PathStateSoA& s, std::size_t path,
                              net::Timestamp when);
 
 /// The fused per-path data-plane step: sampler then aggregator (the order
-/// the pre-SoA HopMonitor::observe used).  Returns the marker-sweep
-/// record count.
-inline std::size_t path_observe(PathStateSoA& s, std::size_t path,
-                                const net::PacketDecisions& d,
-                                net::Timestamp when) {
-  const std::size_t swept = path_observe_sampler(s, path, d, when);
-  path_observe_aggregator(s, path, d, when);
-  return swept;
-}
+/// the pre-SoA HopMonitor::observe used), with ONE log write covering both
+/// views.  Returns the marker-sweep record count.
+std::size_t path_observe(PathStateSoA& s, std::size_t path,
+                         const net::PacketDecisions& d, net::Timestamp when);
 
 /// Drain the samples emitted so far (observation order).  Packets still in
 /// the temp buffer stay buffered — their fate is not yet decided.  The

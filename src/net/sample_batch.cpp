@@ -1,15 +1,13 @@
 // Portable scalar sweep-select kernel (the dispatch fallback).
 #include "net/sample_batch.hpp"
 
-#include <cstring>
-
 #include "net/bob_hash.hpp"
 #include "net/digest_batch.hpp"
 
 namespace vpm::net::detail {
 
-std::size_t sweep_select_scalar(const std::byte* records, std::size_t stride,
-                                std::size_t n, std::uint32_t marker_id,
+std::size_t sweep_select_scalar(const std::uint32_t* ids, std::size_t n,
+                                std::uint32_t marker_id,
                                 std::uint32_t threshold,
                                 std::uint32_t* out_idx) noexcept {
   // Inlined bob_hash_pair(id, marker_id, kSampleSeed): a two-word hashword
@@ -20,9 +18,7 @@ std::size_t sweep_select_scalar(const std::byte* records, std::size_t stride,
   const std::uint32_t bm = base + marker_id;
   std::size_t m = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    std::uint32_t id;
-    std::memcpy(&id, records + i * stride, sizeof(id));
-    std::uint32_t a = base + id;
+    std::uint32_t a = base + ids[i];
     std::uint32_t b = bm;
     std::uint32_t c = base;
     lookup3::final_mix(a, b, c);

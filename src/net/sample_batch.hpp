@@ -22,19 +22,17 @@
 
 namespace vpm::net::detail {
 
-/// Sweep-select kernel: scan `n` records of `stride` bytes starting at
-/// `records`, whose first four bytes are the little-endian packet digest.
-/// Writes the ascending indices i with
-/// sample_value(id(i), marker_id) > threshold into `out_idx` and returns
-/// how many.  Contract:
+/// Sweep-select kernel: scan the `n` contiguous packet digests at `ids`
+/// (the temp-buffer view of a path's observation log).  Writes the
+/// ascending indices i with sample_value(ids[i], marker_id) > threshold
+/// into `out_idx` and returns how many.  Contract:
 ///   * `out_idx` must have room for `n` entries; entries at and beyond the
 ///     returned count are unspecified scratch, but `out_idx[n]` and beyond
 ///     are never written (survivors-so-far <= group base bounds the AVX2
 ///     compress store's 8-lane slack inside the array);
-///   * `stride` must be a multiple of 4 and `n * stride` below 2^31 (the
-///     AVX2 gather indexes dwords with signed 32-bit lanes).
-using SweepSelectFn = std::size_t (*)(const std::byte* records,
-                                      std::size_t stride, std::size_t n,
+///   * `n` must stay below 2^31 (the AVX2 tail gather indexes with signed
+///     32-bit lanes).
+using SweepSelectFn = std::size_t (*)(const std::uint32_t* ids, std::size_t n,
                                       std::uint32_t marker_id,
                                       std::uint32_t threshold,
                                       std::uint32_t* out_idx);
@@ -43,8 +41,8 @@ using SweepSelectFn = std::size_t (*)(const std::byte* records,
 /// Branchless: the index write is unconditional and the cursor advances by
 /// the comparison result, so sweep cost does not depend on survivor
 /// density.
-std::size_t sweep_select_scalar(const std::byte* records, std::size_t stride,
-                                std::size_t n, std::uint32_t marker_id,
+std::size_t sweep_select_scalar(const std::uint32_t* ids, std::size_t n,
+                                std::uint32_t marker_id,
                                 std::uint32_t threshold,
                                 std::uint32_t* out_idx) noexcept;
 

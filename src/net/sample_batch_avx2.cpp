@@ -1,12 +1,12 @@
 // AVX2 sweep-select kernel: eight buffered records per iteration, one
 // two-word lookup3 (sample_value) lane each.
 //
-// The record ids arrive via a dword gather (the records are strided
-// TimedDigest-shaped structs, not packed words, so a row-load transpose
-// would drag the timestamp halves along for nothing); the marker id and
-// the init constant broadcast once per sweep.  A two-word hashword message
-// needs no mix() round — just final_mix8 — then an unsigned threshold
-// compare and a compress-store of the surviving indices.
+// The buffered digests are one contiguous uint32 run (the temp-buffer
+// view of the path's observation log), so each group is one unaligned
+// load; the marker id and the init constant broadcast once per sweep.  A
+// two-word hashword message needs no mix() round — just final_mix8 — then
+// an unsigned threshold compare and a compress-store of the surviving
+// indices.
 //
 // This file is compiled with -mavx2 (see CMakeLists); everything is inside
 // an __AVX2__ guard with null stubs otherwise.  Nothing here may be called
@@ -24,9 +24,8 @@
 namespace vpm::net::detail {
 namespace {
 
-std::size_t sweep_select_avx2_impl(const std::byte* records,
-                                   std::size_t stride, std::size_t n,
-                                   std::uint32_t marker_id,
+std::size_t sweep_select_avx2_impl(const std::uint32_t* ids_in,
+                                   std::size_t n, std::uint32_t marker_id,
                                    std::uint32_t threshold,
                                    std::uint32_t* out_idx) noexcept {
   const std::uint32_t base = 0xdeadbeefu + (2u << 2) + kSampleSeed;
@@ -38,17 +37,12 @@ std::size_t sweep_select_avx2_impl(const std::byte* records,
   const __m256i vthr =
       _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(threshold)), sign);
   const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  const int sd = static_cast<int>(stride / 4);  // contract: stride % 4 == 0
-  const __m256i lane_dwords =
-      _mm256_mullo_epi32(lane, _mm256_set1_epi32(sd));
 
   std::size_t m = 0;
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m256i vidx = _mm256_add_epi32(
-        lane_dwords, _mm256_set1_epi32(static_cast<int>(i) * sd));
-    const __m256i ids = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(records), vidx, 4);
+    const __m256i ids = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(ids_in + i));
     __m256i a = _mm256_add_epi32(vbase, ids);
     __m256i b = vb;
     __m256i c = vbase;
@@ -73,8 +67,7 @@ std::size_t sweep_select_avx2_impl(const std::byte* records,
         _mm256_add_epi32(lane, _mm256_set1_epi32(static_cast<int>(i))),
         _mm256_set1_epi32(static_cast<int>(n - 1)));
     const __m256i ids = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(records),
-        _mm256_mullo_epi32(rows, _mm256_set1_epi32(sd)), 4);
+        reinterpret_cast<const int*>(ids_in), rows, 4);
     __m256i a = _mm256_add_epi32(vbase, ids);
     __m256i b = vb;
     __m256i c = vbase;

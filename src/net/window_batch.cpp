@@ -19,17 +19,14 @@ inline std::int64_t time_at(const std::byte* records, std::size_t stride,
 
 }  // namespace
 
-std::size_t window_collect_scalar(const std::byte* records, std::size_t stride,
-                                  std::size_t time_off, std::size_t n,
+std::size_t window_collect_scalar(const std::uint32_t* ids,
+                                  const std::int64_t* times, std::size_t n,
                                   std::int64_t cutoff_ns,
                                   std::uint32_t* out_ids) noexcept {
   std::size_t m = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    std::uint32_t id;
-    std::memcpy(&id, records + i * stride, sizeof(id));
-    out_ids[m] = id;
-    m += static_cast<std::size_t>(time_at(records, stride, time_off, i) >=
-                                  cutoff_ns);
+    out_ids[m] = ids[i];
+    m += static_cast<std::size_t>(times[i] >= cutoff_ns);
   }
   return m;
 }

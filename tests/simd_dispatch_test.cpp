@@ -225,10 +225,16 @@ TEST(SimdDispatch, ClassifierTiersMatch) {
 // contract.  On scalar-only hosts the AVX2 entry points are null and the
 // loops degenerate to scalar-vs-reference.
 
-std::vector<core::TimedDigest> synthetic_records(std::size_t n,
-                                                 std::uint64_t seed,
-                                                 std::int64_t cutoff_ns) {
-  std::vector<core::TimedDigest> recs(n);
+/// A strided <digest, time> record, the shape time_ge_mask walks (the
+/// pending-aggregate list in production).
+struct TimedRecord {
+  net::PacketDigest id = 0;
+  std::int64_t time_ns = 0;
+};
+
+std::vector<TimedRecord> synthetic_records(std::size_t n, std::uint64_t seed,
+                                           std::int64_t cutoff_ns) {
+  std::vector<TimedRecord> recs(n);
   std::uint64_t x = seed * 2 + 1;
   for (std::size_t i = 0; i < n; ++i) {
     x ^= x << 13;
@@ -238,13 +244,27 @@ std::vector<core::TimedDigest> synthetic_records(std::size_t n,
     // Times cluster around the cutoff (including exact hits, the >= edge)
     // with occasional far outliers.
     const std::int64_t delta = static_cast<std::int64_t>((x >> 32) % 9) - 4;
-    recs[i].time = net::Timestamp{
-        (x >> 40) % 7 == 0 ? cutoff_ns + delta * 1'000'000 : cutoff_ns + delta};
+    recs[i].time_ns =
+        (x >> 40) % 7 == 0 ? cutoff_ns + delta * 1'000'000 : cutoff_ns + delta;
   }
   return recs;
 }
 
-const std::byte* bytes_of(const core::TimedDigest* p) {
+/// The same records as the observation log stores them: a digest run and
+/// a parallel time run.
+std::vector<net::PacketDigest> ids_of(const std::vector<TimedRecord>& recs) {
+  std::vector<net::PacketDigest> ids(recs.size());
+  for (std::size_t i = 0; i < recs.size(); ++i) ids[i] = recs[i].id;
+  return ids;
+}
+
+std::vector<std::int64_t> times_of(const std::vector<TimedRecord>& recs) {
+  std::vector<std::int64_t> times(recs.size());
+  for (std::size_t i = 0; i < recs.size(); ++i) times[i] = recs[i].time_ns;
+  return times;
+}
+
+const std::byte* bytes_of(const TimedRecord* p) {
   return reinterpret_cast<const std::byte*>(p);
 }
 
@@ -253,7 +273,6 @@ TEST(SimdDispatch, SweepSelectKernelTiersMatch) {
   if (cross_tier_host()) {
     ASSERT_NE(avx2, nullptr);
   }
-  constexpr std::size_t kStride = sizeof(core::TimedDigest);
   constexpr std::uint32_t kPoison = 0xDEADBEEFu;
 
   std::vector<std::size_t> sizes(24);
@@ -263,6 +282,7 @@ TEST(SimdDispatch, SweepSelectKernelTiersMatch) {
 
   for (const std::size_t n : sizes) {
     const auto recs = synthetic_records(n, n + 1, 0);
+    const auto ids = ids_of(recs);
     for (const std::uint32_t marker : {0u, 0x1234ABCDu}) {
       for (const std::uint32_t thr : {0u, 1u << 30, 0xFFFFFFFFu}) {
         std::vector<std::uint32_t> ref;
@@ -274,7 +294,7 @@ TEST(SimdDispatch, SweepSelectKernelTiersMatch) {
 
         std::vector<std::uint32_t> got(n + 1, kPoison);
         const std::size_t m = net::detail::sweep_select_scalar(
-            bytes_of(recs.data()), kStride, n, marker, thr, got.data());
+            ids.data(), n, marker, thr, got.data());
         ASSERT_EQ(m, ref.size()) << "scalar n=" << n << " thr=" << thr;
         ASSERT_TRUE(std::equal(ref.begin(), ref.end(), got.begin()))
             << "scalar n=" << n << " thr=" << thr;
@@ -282,8 +302,7 @@ TEST(SimdDispatch, SweepSelectKernelTiersMatch) {
 
         if (avx2 == nullptr || !cross_tier_host()) continue;
         std::vector<std::uint32_t> vec(n + 1, kPoison);
-        const std::size_t mv = avx2(bytes_of(recs.data()), kStride, n, marker,
-                                    thr, vec.data());
+        const std::size_t mv = avx2(ids.data(), n, marker, thr, vec.data());
         ASSERT_EQ(mv, ref.size()) << "avx2 n=" << n << " thr=" << thr;
         ASSERT_TRUE(std::equal(ref.begin(), ref.end(), vec.begin()))
             << "avx2 n=" << n << " thr=" << thr;
@@ -298,8 +317,6 @@ TEST(SimdDispatch, WindowCollectKernelTiersMatch) {
   if (cross_tier_host()) {
     ASSERT_NE(avx2, nullptr);
   }
-  constexpr std::size_t kStride = sizeof(core::TimedDigest);
-  constexpr std::size_t kTimeOff = offsetof(core::TimedDigest, time);
   constexpr std::uint32_t kPoison = 0xDEADBEEFu;
   const std::int64_t cutoff = 987'654'321'000;
 
@@ -310,14 +327,16 @@ TEST(SimdDispatch, WindowCollectKernelTiersMatch) {
 
   for (const std::size_t n : sizes) {
     const auto recs = synthetic_records(n, 31 * n + 7, cutoff);
+    const auto ids = ids_of(recs);
+    const auto times = times_of(recs);
     std::vector<std::uint32_t> ref;
     for (std::size_t i = 0; i < n; ++i) {
-      if (recs[i].time.nanoseconds() >= cutoff) ref.push_back(recs[i].id);
+      if (recs[i].time_ns >= cutoff) ref.push_back(recs[i].id);
     }
 
     std::vector<std::uint32_t> got(n + 1, kPoison);
     const std::size_t m = net::detail::window_collect_scalar(
-        bytes_of(recs.data()), kStride, kTimeOff, n, cutoff, got.data());
+        ids.data(), times.data(), n, cutoff, got.data());
     ASSERT_EQ(m, ref.size()) << "scalar n=" << n;
     ASSERT_TRUE(std::equal(ref.begin(), ref.end(), got.begin()))
         << "scalar n=" << n;
@@ -325,8 +344,8 @@ TEST(SimdDispatch, WindowCollectKernelTiersMatch) {
 
     if (avx2 == nullptr || !cross_tier_host()) continue;
     std::vector<std::uint32_t> vec(n + 1, kPoison);
-    const std::size_t mv = avx2(bytes_of(recs.data()), kStride, kTimeOff, n,
-                                cutoff, vec.data());
+    const std::size_t mv =
+        avx2(ids.data(), times.data(), n, cutoff, vec.data());
     ASSERT_EQ(mv, ref.size()) << "avx2 n=" << n;
     ASSERT_TRUE(std::equal(ref.begin(), ref.end(), vec.begin()))
         << "avx2 n=" << n;
@@ -339,8 +358,8 @@ TEST(SimdDispatch, TimeGeMaskKernelTiersMatch) {
   if (cross_tier_host()) {
     ASSERT_NE(avx2, nullptr);
   }
-  constexpr std::size_t kStride = sizeof(core::TimedDigest);
-  constexpr std::size_t kTimeOff = offsetof(core::TimedDigest, time);
+  constexpr std::size_t kStride = sizeof(TimedRecord);
+  constexpr std::size_t kTimeOff = offsetof(TimedRecord, time_ns);
   constexpr std::uint64_t kPoison = 0xFEEDFACECAFEBEEFull;
   const std::int64_t cutoff = -123'456'789;  // negative cutoffs are legal
 
@@ -356,7 +375,7 @@ TEST(SimdDispatch, TimeGeMaskKernelTiersMatch) {
 
     std::vector<std::uint64_t> want(words, 0);
     for (std::size_t i = 0; i < n; ++i) {
-      if (recs[i].time.nanoseconds() >= cutoff) {
+      if (recs[i].time_ns >= cutoff) {
         want[i >> 6] |= std::uint64_t{1} << (i & 63);
       }
     }
